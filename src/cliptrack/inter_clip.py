@@ -29,7 +29,6 @@ from .core import (
     Embedding,
     GlobalTrack,
     Tracklet,
-    cosine_similarity,
     iou,
     solve_cost_limited,
 )

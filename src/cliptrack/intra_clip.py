@@ -6,16 +6,15 @@ Two interchangeable matchers:
   open tracks by bi-softmax affinity plus gated minimum-cost matching, and
   briefly lost tracks are kept revivable for a bounded number of frames.
 * direction-free -- frame order is ignored and detections are merged by
-  single-linkage agglomerative clustering driven by a lazily invalidated
-  min-heap, with same-frame pairs infinitely far apart and frame-overlapping
-  clusters unmergeable.
+  single linkage by a sorted sweep over sub-threshold pairs, ties by cluster
+  id, with same-frame pairs never joined and frame-overlapping clusters
+  unmergeable.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .core import (
     Embedding,
     Tracklet,
     bisoftmax_affinity,
-    cosine_similarity,
     solve_assignment,
 )
 
@@ -49,14 +47,6 @@ class Clip:
     @property
     def detections(self) -> list[Detection]:
         return [d for frame in self.detections_per_frame for d in frame]
-
-
-@dataclass
-class RebirthMemory:
-    """Lost tracks kept revivable: local id -> (last embedding, last frame, misses)."""
-
-    patience: int
-    lost: dict[int, tuple[Embedding, int, int]] = field(default_factory=dict)
 
 
 @dataclass
@@ -85,7 +75,6 @@ def associate_directional(
         patience = len(clip)
     open_tracks: list[_OpenTrack] = []
     done: list[_OpenTrack] = []
-    memory = RebirthMemory(patience=patience)
     next_local = 0
 
     for offset, frame_dets in enumerate(clip.detections_per_frame):
@@ -107,7 +96,6 @@ def associate_directional(
                 track.entries.append(det)
                 track.embedding = det.embedding
                 track.misses = 0
-                memory.lost.pop(track.local_id, None)
                 matched_tracks.add(r)
                 matched_dets.add(c)
 
@@ -118,10 +106,8 @@ def associate_directional(
                 continue
             track.misses += 1
             if track.misses > patience:
-                memory.lost.pop(track.local_id, None)
                 done.append(track)
             else:
-                memory.lost[track.local_id] = (track.embedding, track.entries[-1].frame, track.misses)
                 survivors.append(track)
         open_tracks = survivors
 
@@ -137,79 +123,73 @@ def associate_directional(
     return [Tracklet(t.local_id, tuple(t.entries), span) for t in done]
 
 
-@dataclass
-class _Cluster:
-    members: list[int]
-    frames: set[int]
-
-
-@dataclass
-class ClusterState:
-    """Mutable agglomeration state: live clusters plus the candidate-pair heap.
-
-    Heap entries referencing merged-away cluster ids are skipped on pop
-    (lazy invalidation) instead of being deleted in place.
-    """
-
-    clusters: dict[int, _Cluster] = field(default_factory=dict)
-    distances: dict[tuple[int, int], float] = field(default_factory=dict)
-    heap: list[tuple[float, int, int]] = field(default_factory=list)
-    next_id: int = 0
-
-
 def associate_direction_free(clip: Clip, merge_threshold: float = 0.4) -> list[Tracklet]:
     """Cluster the clip's detections into tracklets ignoring frame order.
 
-    Single linkage over embedding distances (1 - cosine similarity); merging
-    stops once the smallest remaining inter-cluster distance exceeds the
-    threshold.  Ties break on (distance, lower cluster id pair).
+    Single linkage over embedding distances (1 - cosine similarity) by a sorted
+    sweep over the sub-threshold pairs: pairs in one frame never join, and a
+    pair whose clusters share a frame is skipped.  Among pairs at equal
+    distance the clusters with the lowest (lower, higher) cluster id pair merge
+    first; detections take ids 0..n-1 and each merged cluster the next id.
     """
+    if math.isnan(merge_threshold):
+        raise ValueError("merge_threshold must not be NaN")
     dets = clip.detections
     n = len(dets)
     if n == 0:
         return []
 
-    base = np.full((n, n), math.inf)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dets[i].frame != dets[j].frame:
-                d = 1.0 - cosine_similarity(dets[i].embedding, dets[j].embedding)
-                base[i, j] = base[j, i] = d
+    _, frames = np.unique([d.frame for d in dets], return_inverse=True)
+    emb = np.stack([np.asarray(d.embedding, dtype=np.float64) for d in dets])
+    norms = np.linalg.norm(emb, axis=1)
+    cross = frames[:, None] != frames[None, :]
+    if np.any(cross[norms == 0.0]):
+        raise ValueError("cosine similarity undefined for zero-norm embedding")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dist = 1.0 - (emb @ emb.T) / np.outer(norms, norms)
+    ii, jj = np.nonzero(np.triu(cross & (dist <= merge_threshold), k=1))
+    pair_d = dist[ii, jj]
+    order = np.argsort(pair_d, kind="stable")  # nonzero gives (i, j) in row-major order
+    pair_d, ii, jj = pair_d[order].tolist(), ii[order].tolist(), jj[order].tolist()
 
-    state = ClusterState(next_id=n)
-    for i in range(n):
-        state.clusters[i] = _Cluster([i], {dets[i].frame})
-    for i in range(n):
-        for j in range(i + 1, n):
-            if math.isfinite(base[i, j]):
-                state.distances[(i, j)] = float(base[i, j])
-                heapq.heappush(state.heap, (float(base[i, j]), i, j))
+    root = list(range(n))
+    cluster_id = list(range(n))
+    frame_mask = [1 << f for f in frames.tolist()]
+    next_id = n
 
-    while state.heap:
-        d, a, b = heapq.heappop(state.heap)
-        if a not in state.clusters or b not in state.clusters:
-            continue
-        if d > merge_threshold:
-            break
-        ca = state.clusters.pop(a)
-        cb = state.clusters.pop(b)
-        new_id = state.next_id
-        state.next_id += 1
-        merged = _Cluster(ca.members + cb.members, ca.frames | cb.frames)
-        for other_id, other in state.clusters.items():
-            if merged.frames & other.frames:
-                continue
-            da = state.distances[tuple(sorted((a, other_id)))]
-            db = state.distances[tuple(sorted((b, other_id)))]
-            nd = min(da, db)
-            state.distances[(other_id, new_id)] = nd
-            heapq.heappush(state.heap, (nd, other_id, new_id))
-        state.clusters[new_id] = merged
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
 
-    groups = sorted(state.clusters.values(), key=lambda c: min(c.members))
+    def mergeable(pair: tuple[int, int]) -> bool:
+        a, b = find(pair[0]), find(pair[1])
+        return a != b and not frame_mask[a] & frame_mask[b]
+
+    def id_pair(pair: tuple[int, int]) -> tuple[int, int]:
+        ids = cluster_id[find(pair[0])], cluster_id[find(pair[1])]
+        return min(ids), max(ids)
+
+    start = 0
+    while start < len(pair_d):
+        stop = start + 1
+        while stop < len(pair_d) and pair_d[stop] == pair_d[start]:
+            stop += 1
+        pending = list(zip(ii[start:stop], jj[start:stop]))
+        start = stop
+        while pending := [p for p in pending if mergeable(p)]:
+            a, b = (find(i) for i in min(pending, key=id_pair))
+            root[b] = a
+            frame_mask[a] |= frame_mask[b]
+            cluster_id[a] = next_id
+            next_id += 1
+
+    groups: dict[int, list[Detection]] = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(dets[i])
     span = (clip.start_frame, clip.end_frame)
-    tracklets = []
-    for local_id, cluster in enumerate(groups):
-        entries = tuple(sorted((dets[i] for i in cluster.members), key=lambda d: d.frame))
-        tracklets.append(Tracklet(local_id, entries, span))
-    return tracklets
+    return [
+        Tracklet(local_id, tuple(sorted(members, key=lambda d: d.frame)), span)
+        for local_id, members in enumerate(groups.values())
+    ]

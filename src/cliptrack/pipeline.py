@@ -9,6 +9,7 @@ that baseline is implemented here too and the equivalence is bitwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -61,6 +62,18 @@ class PipelineConfig:
         for name in ("init_score", "match_threshold", "iou_threshold"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
+        if not (math.isfinite(self.merge_threshold) and self.merge_threshold >= 0.0):
+            raise ValueError("merge_threshold must be finite and >= 0")
+        if not self.temperature > 0.0:
+            raise ValueError("temperature must be > 0")
+        if self.buffer_size < 1:
+            raise ValueError("buffer_size must be >= 1")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError("momentum must lie in [0, 1)")
+        if self.inter == "iou_chain" and self.clip_interval == self.clip_size:
+            raise ValueError(
+                "inter 'iou_chain' needs an overlap frame: clip_interval must be < clip_size"
+            )
 
     @staticmethod
     def high_fps(**overrides) -> "PipelineConfig":

@@ -87,6 +87,12 @@ class TestDirectional:
             assert len(frames_seen) == len(set(frames_seen))
 
 
+def partition(clip, tracklets):
+    """Tracklets as a set of frozensets of indices into clip.detections."""
+    index = {(d.frame, d.source_index): i for i, d in enumerate(clip.detections)}
+    return {frozenset(index[(d.frame, d.source_index)] for d in t.entries) for t in tracklets}
+
+
 class TestDirectionFree:
     def test_single_detection(self):
         tracklets = associate_direction_free(clip_from_frames(0, [[det(0, E1)]]))
@@ -115,6 +121,44 @@ class TestDirectionFree:
         frames = [[det(0, E1, score=0.1)], [det(1, E2, score=0.05)]]
         tracklets = associate_direction_free(clip_from_frames(0, frames))
         assert sum(len(t.entries) for t in tracklets) == 2
+
+    def test_nan_threshold_rejected(self):
+        frames = [[det(0, E1)], [det(1, E1)]]
+        with pytest.raises(ValueError, match="threshold"):
+            associate_direction_free(clip_from_frames(0, frames), merge_threshold=float("nan"))
+
+    def test_zero_norm_embedding_rejected(self):
+        frames = [[det(0, E1)], [det(1, [0.0, 0.0, 0.0, 0.0])]]
+        with pytest.raises(ValueError, match="zero-norm"):
+            associate_direction_free(clip_from_frames(0, frames))
+
+    def test_exact_tie_breaks_on_cluster_ids(self):
+        # {1, 2} merge first and take cluster id 4.  Then 0-1 and 0-3 tie at
+        # distance 0.2: clusters (0, 3) come before (0, 4), so 0 joins 3, not
+        # the pair with the lower detection indices.
+        frames = [
+            [det(0, [1.0, 0.0, 0.0])],
+            [det(1, [0.8, 0.6, 0.0])],
+            [det(2, [0.8, 0.6, 0.05], source=0), det(2, [0.8, -0.6, 0.0], source=1)],
+        ]
+        clip = clip_from_frames(0, frames)
+        want = naive_single_linkage(clip.detections, 0.4)
+        assert want == {frozenset({0, 3}), frozenset({1, 2})}
+        assert partition(clip, associate_direction_free(clip, merge_threshold=0.4)) == want
+
+    def test_matches_naive_oracle_with_duplicated_embeddings(self):
+        # 40 detections over 10 frames; half of them copy one of six
+        # embeddings, which makes many exact distance ties across frames.
+        rng = SplitMix64(7)
+        palette = [unit_vector(rng, 4) for _ in range(6)]
+        frames = []
+        for f in range(10):
+            row = [det(f, palette[rng.randint(6)], source=s) for s in range(2)]
+            row += [det(f, unit_vector(rng, 4), source=s) for s in range(2, 4)]
+            frames.append(row)
+        clip = clip_from_frames(0, frames)
+        got = associate_direction_free(clip, merge_threshold=0.5)
+        assert partition(clip, got) == naive_single_linkage(clip.detections, 0.5)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))

@@ -42,6 +42,30 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             PipelineConfig(inter="telepathy")
 
+    @pytest.mark.parametrize("value", [-0.1, float("nan"), float("inf")])
+    def test_bad_merge_threshold_rejected(self, value):
+        with pytest.raises(ValueError, match="merge_threshold"):
+            PipelineConfig(merge_threshold=value)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_nonpositive_temperature_rejected(self, value):
+        with pytest.raises(ValueError, match="temperature"):
+            PipelineConfig(temperature=value)
+
+    def test_empty_buffer_rejected(self):
+        with pytest.raises(ValueError, match="buffer_size"):
+            PipelineConfig(buffer_size=0)
+
+    @pytest.mark.parametrize("value", [1.0, -0.1])
+    def test_momentum_outside_unit_interval_rejected(self, value):
+        with pytest.raises(ValueError, match="momentum"):
+            PipelineConfig(momentum=value)
+
+    def test_iou_chain_without_overlap_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="clip_interval"):
+            PipelineConfig(clip_size=10, clip_interval=10, inter="iou_chain")
+        PipelineConfig(clip_size=10, clip_interval=10, inter="temporal_average")
+
     def test_clip_tracker_requires_weights(self):
         _, dets = generate(ScenarioConfig(frames=5, identities=2, seed=1))
         with pytest.raises(ValueError):
