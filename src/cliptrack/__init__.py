@@ -42,6 +42,7 @@ from .summarizer import (
     init_weights,
     load_weights,
     save_weights,
+    summarize_tracks,
 )
 from .training import (
     AugmentConfig,

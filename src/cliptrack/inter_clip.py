@@ -32,7 +32,13 @@ from .core import (
     iou,
     solve_cost_limited,
 )
-from .summarizer import SummarizerWeights, forward_summarize, l2_normalize
+# bench/harness.py traces ``inter_clip.forward_summarize`` by name, so it stays imported.
+from .summarizer import (  # noqa: F401
+    SummarizerWeights,
+    forward_summarize,
+    l2_normalize,
+    summarize_tracks,
+)
 
 MANAGEMENT_STRATEGIES = ("two_clip", "moving_average", "feature_bank")
 MATCHERS = ("iou_chain", "temporal_average", "clip_tracker")
@@ -174,22 +180,18 @@ def match_clip_tracker(
     """Match learned summaries of track histories against tracklet summaries.
 
     Cost is ``1 - cosine`` of the L2-normalized summaries, allowed at cosine
-    >= threshold and taken under the module's shared objective.
+    >= threshold and taken under the module's shared objective.  All histories
+    and tracklets are summarized together, in packed forwards.
     """
     rows = store.ordered_tracks()
     if not rows or not tracklets:
         return Assignment.all_unmatched(len(rows), len(tracklets))
-    reps = [
-        l2_normalize(
-            forward_summarize(
-                weights, np.stack(history_representation(t, store.management, store.momentum))
-            )
-        )
-        for t in rows
+    histories = [np.stack(history_representation(t, store.management, store.momentum)) for t in rows]
+    summaries = [
+        l2_normalize(u)
+        for u in summarize_tracks(weights, histories + [t.embeddings() for t in tracklets])
     ]
-    clip_reps = [
-        l2_normalize(forward_summarize(weights, t.embeddings())) for t in tracklets
-    ]
+    reps, clip_reps = summaries[: len(rows)], summaries[len(rows) :]
     cost = np.array([[1.0 - float(np.dot(a, b)) for b in clip_reps] for a in reps])
     return solve_cost_limited(cost, 1.0 - threshold)
 

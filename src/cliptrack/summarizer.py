@@ -9,6 +9,11 @@ a function of the *multiset* of track elements; in deterministic mode the
 input rows are sorted canonically first, which makes the permutation
 invariance bit-exact.
 
+Tracks are evaluated in packs (``summarize_tracks``; ``forward_summarize`` is
+the one-track case): the rows of a pack's tracks are stacked for every
+row-wise layer, and attention runs once per bucket of equal-length tracks.  A
+track's summary is bit-identical whatever it is packed with.
+
 Everything is float64 numpy.  Gradients are exact analytic derivatives of the
 multi-positive contrastive objective
 
@@ -23,6 +28,7 @@ validated against central finite differences in the test suite.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -32,6 +38,12 @@ import numpy as np
 _LN_EPS = 1e-6
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+
+# Rows per packed forward in ``summarize_tracks``.  Without a cache a pack's
+# working set peaks near 24 KB per row at model_dim 64, so this bounds it near
+# 6 MB.  A clip of short histories still fits in one pack, and 1000-row packs
+# were no faster.
+_PACK_ROWS = 256
 
 WEIGHTS_MAGIC = b"CTSUMRZ1"
 WEIGHTS_VERSION = 1
@@ -158,7 +170,7 @@ def weights_from_flat(cfg: SummarizerConfig, flat: np.ndarray) -> SummarizerWeig
     arrays = []
     pos = 0
     for shape in shapes:
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         arrays.append(np.asarray(flat[pos : pos + size], dtype=np.float64).reshape(shape))
         pos += size
     if pos != flat.size:
@@ -213,13 +225,16 @@ def init_weights(cfg: SummarizerConfig, seed: int) -> SummarizerWeights:
 # --- forward / backward ------------------------------------------------------
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
-    t = np.tanh(_GELU_C * (x + _GELU_A * x**3))
-    return 0.5 * x * (1.0 + t)
+def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """tanh-form GELU of ``x``, and the tanh it evaluates (the backward reuses it).
+
+    The cube is ``x * x * x``: ``x**3`` goes through ``pow`` and costs ~40x more.
+    """
+    t = np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
+    return 0.5 * x * (1.0 + t), t
 
 
-def _gelu_grad(x: np.ndarray) -> np.ndarray:
-    t = np.tanh(_GELU_C * (x + _GELU_A * x**3))
+def _gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * _GELU_C * (1.0 + 3.0 * _GELU_A * x**2)
 
 
@@ -256,60 +271,121 @@ def canonical_order(track: np.ndarray) -> np.ndarray:
     return track[np.lexsort(track.T[::-1])]
 
 
-def _forward(weights: SummarizerWeights, track: np.ndarray):
+@dataclass
+class _Pack:
+    """Forward cache of a pack of tracks.
+
+    The rows of all tracks, each track led by its token row, are stacked in
+    order of ascending track length, so the tracks of one length form a
+    contiguous bucket.  ``place[i]`` is (token row, bucket, position in bucket)
+    of input track ``i``.  Per layer, ``rows`` holds the stacked row-wise
+    activations and ``heads`` one (qh, kh, vh, a) tuple per bucket, each of
+    shape (tracks, heads, rows per track, ...).
+    """
+
+    tracks: list[np.ndarray]
+    place: list[tuple[int, int, int]]
+    layers: list[tuple[tuple[np.ndarray, ...], list[tuple[np.ndarray, ...]]]]
+    z: np.ndarray
+
+
+def _forward(weights: SummarizerWeights, tracks: list[np.ndarray], keep_cache: bool = True):
+    """Summaries (n, model_dim) of a nonempty list of track matrices, and the
+    cache for ``_backward`` (None unless ``keep_cache``).
+
+    Every row-wise layer runs once over the stacked rows and attention once per
+    bucket of equal-length tracks.  A track's summary does not depend on its
+    pack-mates: products only ever stack whole rows, and a 1-row product (a
+    length-1 track's input projection, the output projection) stays a vector
+    product, since a stacked gemm row can differ from gemv in the last bit.
+    """
     cfg = weights.config
-    x = track @ weights.w_in + weights.b_in
-    z = np.concatenate([weights.token[None, :], x], axis=0)
-    scale = 1.0 / math.sqrt(cfg.head_dim)
-    caches = []
+    cm, n_heads, dh = cfg.model_dim, cfg.n_heads, cfg.head_dim
+    order = sorted(range(len(tracks)), key=lambda i: len(tracks[i]))
+    place = [(0, 0, 0)] * len(tracks)
+    buckets = []  # (first row, tracks, rows per track)
+    row = 0
+    for length, group in itertools.groupby(order, key=lambda i: len(tracks[i]) + 1):
+        group = list(group)
+        for j, i in enumerate(group):
+            place[i] = (row + j * length, len(buckets), j)
+        buckets.append((row, group, length))
+        row += len(group) * length
+
+    z = np.empty((row, cm))
+    for r0, group, length in buckets:
+        zb = z[r0 : r0 + len(group) * length].reshape(len(group), length, cm)
+        zb[:, 0] = weights.token
+        if length == 2:  # length-1 tracks: keep each input projection a vector product
+            for j, i in enumerate(group):
+                zb[j, 1] = tracks[i] @ weights.w_in + weights.b_in
+        else:
+            x = np.concatenate([tracks[i] for i in group]) @ weights.w_in + weights.b_in
+            zb[:, 1:] = x.reshape(len(group), length - 1, cm)
+
+    scale = 1.0 / math.sqrt(dh)
+    layers = []
     for layer in weights.layers:
-        y1, ln1c = _layer_norm(z, layer.ln1_g, layer.ln1_b)
+        y1, (xhat1, inv1) = _layer_norm(z, layer.ln1_g, layer.ln1_b)
         q = y1 @ layer.wq + layer.bq
         k = y1 @ layer.wk + layer.bk
         v = y1 @ layer.wv + layer.bv
-        qh = _split_heads(q, cfg.n_heads)
-        kh = _split_heads(k, cfg.n_heads)
-        vh = _split_heads(v, cfg.n_heads)
-        s = qh @ kh.transpose(0, 2, 1) * scale
-        s -= s.max(axis=-1, keepdims=True)
-        a = np.exp(s)
-        a /= a.sum(axis=-1, keepdims=True)
-        mh = _merge_heads(a @ vh)
+        mh = np.empty_like(q)
+        heads = []
+        for r0, group, length in buckets:
+            r1 = r0 + len(group) * length
+            qh, kh, vh = (
+                m[r0:r1].reshape(len(group), length, n_heads, dh).transpose(0, 2, 1, 3)
+                for m in (q, k, v)
+            )
+            s = qh @ kh.transpose(0, 1, 3, 2) * scale
+            s -= s.max(axis=-1, keepdims=True)
+            a = np.exp(s)
+            a /= a.sum(axis=-1, keepdims=True)
+            mh[r0:r1] = (a @ vh).transpose(0, 2, 1, 3).reshape(r1 - r0, cm)
+            if keep_cache:
+                heads.append((qh, kh, vh, a))
         z_mid = z + mh @ layer.wo + layer.bo
-        y2, ln2c = _layer_norm(z_mid, layer.ln2_g, layer.ln2_b)
+        y2, (xhat2, inv2) = _layer_norm(z_mid, layer.ln2_g, layer.ln2_b)
         u = y2 @ layer.w1 + layer.b1
-        gact = _gelu(u)
-        z_out = z_mid + gact @ layer.w2 + layer.b2
-        caches.append((y1, ln1c, qh, kh, vh, a, mh, y2, ln2c, u, gact))
-        z = z_out
-    t0 = z[0]
-    out = t0 @ weights.w_out + weights.b_out
-    return out, (track, z.shape[0], caches, t0)
+        gact, t = _gelu(u)
+        z = z_mid + gact @ layer.w2 + layer.b2
+        if keep_cache:
+            layers.append(((y1, xhat1, inv1, mh, y2, xhat2, inv2, u, gact, t), heads))
+    outs = np.stack([z[r] @ weights.w_out + weights.b_out for r, _, _ in place])
+    return outs, _Pack(tracks, place, layers, z) if keep_cache else None
 
 
-def _backward(weights: SummarizerWeights, cache, dout: np.ndarray, grads: SummarizerWeights):
+def _backward(
+    weights: SummarizerWeights, pack: _Pack, i: int, dout: np.ndarray, grads: SummarizerWeights
+):
+    """Accumulate into ``grads`` the gradient of ``dout . summary`` of track ``i`` of ``pack``."""
     cfg = weights.config
-    track, t_len, caches, t0 = cache
+    track = pack.tracks[i]
+    r0, bucket, j = pack.place[i]
+    r1 = r0 + len(track) + 1
+    t0 = pack.z[r0]
     scale = 1.0 / math.sqrt(cfg.head_dim)
 
     grads.w_out += np.outer(t0, dout)
     grads.b_out += dout
-    dz = np.zeros((t_len, cfg.model_dim))
+    dz = np.zeros((r1 - r0, cfg.model_dim))
     dz[0] = weights.w_out @ dout
 
-    for layer, layer_grads, c in zip(
-        reversed(weights.layers), reversed(grads.layers), reversed(caches)
+    for layer, layer_grads, (rows, heads) in zip(
+        reversed(weights.layers), reversed(grads.layers), reversed(pack.layers)
     ):
-        y1, ln1c, qh, kh, vh, a, mh, y2, ln2c, u, gact = c
+        y1, xhat1, inv1, mh, y2, xhat2, inv2, u, gact, t = (m[r0:r1] for m in rows)
+        qh, kh, vh, a = (m[j] for m in heads[bucket])
         # feed-forward block
         df = dz
         layer_grads.w2 += gact.T @ df
         layer_grads.b2 += df.sum(axis=0)
-        du = (df @ layer.w2.T) * _gelu_grad(u)
+        du = (df @ layer.w2.T) * _gelu_grad(u, t)
         layer_grads.w1 += y2.T @ du
         layer_grads.b1 += du.sum(axis=0)
         dy2 = du @ layer.w1.T
-        dz_ln2, dg2, db2 = _layer_norm_backward(dy2, layer.ln2_g, ln2c)
+        dz_ln2, dg2, db2 = _layer_norm_backward(dy2, layer.ln2_g, (xhat2, inv2))
         layer_grads.ln2_g += dg2
         layer_grads.ln2_b += db2
         dz_mid = dz + dz_ln2
@@ -333,7 +409,7 @@ def _backward(weights: SummarizerWeights, cache, dout: np.ndarray, grads: Summar
         layer_grads.wv += y1.T @ dv
         layer_grads.bv += dv.sum(axis=0)
         dy1 = dq @ layer.wq.T + dk @ layer.wk.T + dv @ layer.wv.T
-        dz_ln1, dg1, db1 = _layer_norm_backward(dy1, layer.ln1_g, ln1c)
+        dz_ln1, dg1, db1 = _layer_norm_backward(dy1, layer.ln1_g, (xhat1, inv1))
         layer_grads.ln1_g += dg1
         layer_grads.ln1_b += db1
         dz = dz_mid + dz_ln1
@@ -358,11 +434,30 @@ def _as_track_matrix(weights: SummarizerWeights, track, deterministic: bool) -> 
     return canonical_order(m) if deterministic else m
 
 
+def summarize_tracks(weights: SummarizerWeights, tracks, deterministic: bool = True) -> np.ndarray:
+    """Summary embeddings (n, model_dim) of a list of tracks, in packed forwards.
+
+    Row ``i`` is bit-identical to ``forward_summarize`` of ``tracks[i]`` alone.
+    Tracks are packed in order of length, at most ``_PACK_ROWS`` rows (track
+    rows plus one token row each) to a pack, unless one track alone has more.
+    """
+    mats = [_as_track_matrix(weights, t, deterministic) for t in tracks]
+    outs = np.empty((len(mats), weights.config.model_dim))
+    pack, rows = [], 0
+    for i in sorted(range(len(mats)), key=lambda i: len(mats[i])):
+        if pack and rows + len(mats[i]) + 1 > _PACK_ROWS:
+            outs[pack] = _forward(weights, [mats[j] for j in pack], keep_cache=False)[0]
+            pack, rows = [], 0
+        pack.append(i)
+        rows += len(mats[i]) + 1
+    if pack:
+        outs[pack] = _forward(weights, [mats[j] for j in pack], keep_cache=False)[0]
+    return outs
+
+
 def forward_summarize(weights: SummarizerWeights, track, deterministic: bool = True) -> np.ndarray:
     """Summary embedding (model_dim,) of a track's embedding sequence."""
-    m = _as_track_matrix(weights, track, deterministic)
-    out, _ = _forward(weights, m)
-    return out
+    return summarize_tracks(weights, [track], deterministic)[0]
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:
@@ -459,7 +554,8 @@ def batch_loss(
     if not anchors:
         raise ValueError("no sample in the batch has a same-identity positive")
     z = [
-        l2_normalize(forward_summarize(weights, s.track, deterministic)) for s in samples
+        l2_normalize(u)
+        for u in summarize_tracks(weights, [s.track for s in samples], deterministic)
     ]
     losses, _ = _loss_terms(z, anchors, 1.0 / loss_temperature)
     return float(np.mean(losses))
@@ -476,13 +572,9 @@ def gradient(
     if not anchors:
         raise ValueError("no sample in the batch has a same-identity positive")
 
-    outs = []
-    caches = []
-    for s in samples:
-        m = _as_track_matrix(weights, s.track, deterministic)
-        out, cache = _forward(weights, m)
-        outs.append(out)
-        caches.append(cache)
+    outs, pack = _forward(
+        weights, [_as_track_matrix(weights, s.track, deterministic) for s in samples]
+    )
     norms = [float(np.linalg.norm(u)) for u in outs]
     z = [u / n for u, n in zip(outs, norms)]
 
@@ -506,12 +598,11 @@ def gradient(
         dz[i] += inv_a * acc
 
     grads = weights.zeros_like()
-    for s_idx, cache in enumerate(caches):
-        g = dz[s_idx]
+    for s_idx, g in enumerate(dz):
         if not g.any():
             continue
         du = (g - (g @ z[s_idx]) * z[s_idx]) / norms[s_idx]
-        _backward(weights, cache, du, grads)
+        _backward(weights, pack, s_idx, du, grads)
     return grads, loss
 
 
@@ -543,7 +634,7 @@ def load_weights(path) -> SummarizerWeights:
         cfg = SummarizerConfig(c_in, cm, n_layers, n_heads, ffn)
         arrays = []
         for shape in _array_shapes(cfg):
-            size = int(np.prod(shape))
+            size = math.prod(shape)
             buf = fh.read(8 * size)
             if len(buf) != 8 * size:
                 raise ValueError("truncated weights file")

@@ -10,7 +10,7 @@ imitate drifted tracks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -393,12 +393,3 @@ def train(
         history.append(float(np.mean(epoch_losses)))
     return weights, history
 
-
-def drop_augmentation(aug: AugmentConfig, *, negatives: bool, mixup: bool) -> AugmentConfig:
-    """Ablation helper: selectively disable the two augmentation families."""
-    out = aug
-    if not negatives:
-        out = replace(out, track_type_probs=(1.0, 0.0, 0.0))
-    if not mixup:
-        out = replace(out, mixup_bound=0.0)
-    return out

@@ -12,6 +12,7 @@ from cliptrack.core import (
     cosine_similarity,
     solve_assignment,
 )
+from cliptrack import inter_clip
 from cliptrack.inter_clip import (
     GlobalTrackStore,
     history_representation,
@@ -21,7 +22,13 @@ from cliptrack.inter_clip import (
     merge,
 )
 from cliptrack.rng import SplitMix64, unit_vector
-from cliptrack.summarizer import SummarizerConfig, init_weights
+from cliptrack.summarizer import (
+    SummarizerConfig,
+    forward_summarize,
+    init_weights,
+    l2_normalize,
+    weights_from_flat,
+)
 
 E1 = np.array([1.0, 0.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0, 0.0])
@@ -207,8 +214,6 @@ class TestMatchClipTracker:
             tracklet(0, [det(f, unit_vector(rng, 4), source=0) for f in range(3, 5)], (3, 4)),
             tracklet(1, [det(f, unit_vector(rng, 4), source=1) for f in range(3, 5)], (3, 4)),
         ]
-        from cliptrack.summarizer import forward_summarize, l2_normalize
-
         got = match_clip_tracker(store, news, self.WEIGHTS, threshold=0.5)
         for r, c in got.pairs:
             track = store.ordered_tracks()[r]
@@ -217,6 +222,35 @@ class TestMatchClipTracker:
             )
             clip_rep = l2_normalize(forward_summarize(self.WEIGHTS, news[c].embeddings()))
             assert float(np.dot(rep, clip_rep)) >= 0.5
+
+    @pytest.mark.parametrize("management", ["two_clip", "moving_average", "feature_bank"])
+    def test_cost_matrix_equals_per_track_reference(self, monkeypatch, management):
+        cfg = self.WEIGHTS.config
+        rng = SplitMix64(19)
+        weights = weights_from_flat(cfg, 0.5 * rng.gauss_vector(self.WEIGHTS.n_params))
+        lengths = [1, 3, 3, 5, 12, 2]
+        old = [
+            tracklet(i, [det(f, unit_vector(rng, 4), source=i) for f in range(n)], (0, 11))
+            for i, n in enumerate(lengths)
+        ]
+        store = store_with(old, management=management, buffer_size=8)
+        news = [
+            tracklet(i, [det(f, unit_vector(rng, 4), source=i) for f in range(12, 12 + n)], (12, 23))
+            for i, n in enumerate([2, 1, 1, 6, 12])
+        ]
+        seen = []
+        monkeypatch.setattr(
+            inter_clip, "solve_cost_limited", lambda cost, gate: seen.append(cost) or
+            Assignment.all_unmatched(*cost.shape),
+        )
+        match_clip_tracker(store, news, weights, threshold=0.5)
+        reps = [
+            l2_normalize(forward_summarize(weights, np.stack(history_representation(t, management))))
+            for t in store.ordered_tracks()
+        ]
+        clip_reps = [l2_normalize(forward_summarize(weights, t.embeddings())) for t in news]
+        want = np.array([[1.0 - float(np.dot(a, b)) for b in clip_reps] for a in reps])
+        assert np.array_equal(seen[0], want)
 
 
 class TestMerge:

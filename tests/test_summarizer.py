@@ -5,7 +5,10 @@ import pytest
 
 from cliptrack.rng import SplitMix64, unit_vector
 from cliptrack.summarizer import (
+    _GELU_A,
+    _GELU_C,
     SummarizerConfig,
+    _gelu,
     batch_loss,
     contrastive_loss,
     forward_summarize,
@@ -14,6 +17,7 @@ from cliptrack.summarizer import (
     l2_normalize,
     load_weights,
     save_weights,
+    summarize_tracks,
     weights_from_flat,
 )
 from cliptrack.training import TrainSample
@@ -77,6 +81,90 @@ class TestForwardSummarize:
         w = init_weights(SMALL, 0)
         out = forward_summarize(w, np.ones(6))
         assert out.shape == (8,)
+
+
+def random_weights(cfg, seed):
+    """Every parameter drawn at random, so attention is far from uniform."""
+    rng = SplitMix64(seed)
+    return weights_from_flat(cfg, 0.5 * rng.gauss_vector(init_weights(cfg, 0).n_params))
+
+
+class TestSummarizeTracks:
+    """The packed forward: a track's summary never depends on its pack-mates."""
+
+    BENCH = SummarizerConfig(input_dim=16, model_dim=64, n_layers=3, n_heads=8)
+    CRITERION_3 = SummarizerConfig(input_dim=4, model_dim=8, n_layers=2, n_heads=2)
+
+    @pytest.mark.parametrize("cfg", [BENCH, CRITERION_3], ids=["bench", "criterion3"])
+    def test_pack_invariance_bitwise(self, cfg):
+        w = random_weights(cfg, 71)
+        rng = SplitMix64(72)
+        # lengths 1-12: some alone in their bucket, some sharing it with many;
+        # 390 rows in all, so the tracks are split over more than one pack
+        lengths = [1, 1, 1, 2, 3, 3, 3, 3, 4, 5, 7, 7, 8, 9, 10, 11, 12, 12, 12] * 3
+        tracks = [random_track(rng, n, cfg.input_dim) for n in lengths]
+        order = np.argsort([rng.uniform() for _ in tracks])
+        packed = summarize_tracks(w, [tracks[i] for i in order])
+        assert packed.shape == (len(tracks), cfg.model_dim)
+        for row, i in enumerate(order):
+            assert np.array_equal(packed[row], forward_summarize(w, tracks[i])), lengths[i]
+
+    def test_single_bucket_of_many(self):
+        w = random_weights(self.BENCH, 73)
+        rng = SplitMix64(74)
+        for length in (1, 6):
+            tracks = [random_track(rng, length, 16) for _ in range(9)]
+            packed = summarize_tracks(w, tracks)
+            for row, track in enumerate(tracks):
+                assert np.array_equal(packed[row], forward_summarize(w, track))
+
+    def test_non_deterministic_order_kept(self):
+        w = random_weights(SMALL, 75)
+        rng = SplitMix64(76)
+        tracks = [random_track(rng, n) for n in (4, 2, 4)]
+        packed = summarize_tracks(w, tracks, deterministic=False)
+        for row, track in enumerate(tracks):
+            assert np.array_equal(packed[row], forward_summarize(w, track, deterministic=False))
+
+    def test_empty_list(self):
+        assert summarize_tracks(init_weights(SMALL, 0), []).shape == (0, 8)
+
+    def test_bad_track_in_pack_errors(self):
+        w = init_weights(SMALL, 0)
+        with pytest.raises(ValueError):
+            summarize_tracks(w, [np.ones((2, 6)), np.ones((0, 6))])
+
+
+class TestGelu:
+    """``_gelu`` computes the cube as ``x * x * x``; compare with ``x**3``."""
+
+    @staticmethod
+    def reference(x):
+        t = np.tanh(_GELU_C * (x + _GELU_A * x**3))
+        return 0.5 * x * (1.0 + t), t
+
+    def inputs(self):
+        rng = SplitMix64(81)
+        normals = rng.gauss_vector(20_000)
+        wide = np.array([1e3 * (2.0 * rng.uniform() - 1.0) for _ in range(20_000)])
+        return np.concatenate([normals, wide, [0.0, -0.0, 1e3, -1e3]])
+
+    def test_tanh_within_4_ulp(self):
+        x = self.inputs()
+        np.testing.assert_array_max_ulp(_gelu(x)[1], self.reference(x)[1], maxulp=4)
+
+    def test_output_within_4_ulp_without_cancellation(self):
+        # below x = -1, 1 + tanh cancels and an ulp of tanh becomes many ulp of
+        # the output; there the bound is absolute, a few ulp of tanh times x / 2
+        x = self.inputs()
+        got, want = _gelu(x)[0], self.reference(x)[0]
+        keep = x >= -1.0
+        np.testing.assert_array_max_ulp(got[keep], want[keep], maxulp=4)
+        assert np.all(np.abs(got - want) <= 4.0 * np.finfo(float).eps * np.abs(x))
+
+    def test_zero(self):
+        out, t = _gelu(np.zeros(3))
+        assert np.array_equal(out, np.zeros(3)) and np.array_equal(t, np.zeros(3))
 
 
 class TestContrastiveLoss:
