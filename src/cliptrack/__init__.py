@@ -17,9 +17,7 @@ from .core import (
 from .inter_clip import (
     GlobalTrackStore,
     history_representation,
-    match_clip_tracker,
-    match_iou_chain,
-    match_temporal_average,
+    match,
     merge,
 )
 from .intra_clip import Clip, associate_direction_free, associate_directional

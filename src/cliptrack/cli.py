@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -291,7 +291,6 @@ AUG_KEYS = {
     "p_negative": float,
     "p_hybrid": float,
     "mixup_bound": float,
-    "scattered_mixup": bool,
 }
 
 
@@ -318,7 +317,6 @@ def train_setup_from_file(path):
             aug_raw.get("p_hybrid", 1 / 3),
         ),
         mixup_bound=aug_raw.get("mixup_bound", 0.3),
-        scattered_mixup=aug_raw.get("scattered_mixup", False),
     )
     return train_cfg, aug, model
 
@@ -372,19 +370,26 @@ def _manifest(subcommand, args, config_snapshot, inputs, outputs, seed) -> RunMa
 # --- subcommands -----------------------------------------------------------------
 
 
-def _cmd_track(args) -> int:
-    cfg = pipeline_config_from_file(args.config)
+def _load_stream(cfg: PipelineConfig, dets, embs, embedding_dim: int = 0):
+    """Summarizer weights (clip_tracker only) and the detection stream.
+
+    The embedding dimension is the weights' input dimension, else
+    ``embedding_dim``, else sniffed from the first embedding row.
+    """
     weights = None
     if cfg.inter == "clip_tracker":
         if not cfg.weights_path:
             raise ValueError("clip_tracker matching requires weights_path in the config")
         weights = load_weights(cfg.weights_path)
-        dim = weights.config.input_dim
-    else:
-        dim = args.embedding_dim
-    rows = parse_detections(args.dets)
-    embeddings = parse_embeddings(args.embs, dim if dim else _sniff_dim(args.embs))
-    stream = assemble_stream(rows, embeddings)
+        embedding_dim = weights.config.input_dim
+    rows = parse_detections(dets)
+    embeddings = parse_embeddings(embs, embedding_dim or _sniff_dim(embs))
+    return weights, assemble_stream(rows, embeddings)
+
+
+def _cmd_track(args) -> int:
+    cfg = pipeline_config_from_file(args.config)
+    weights, stream = _load_stream(cfg, args.dets, args.embs, args.embedding_dim)
     tracks = run(stream, cfg, weights)
     write_tracks(tracks, args.out)
     snapshot = asdict(cfg)
@@ -407,8 +412,6 @@ def _cmd_train(args) -> int:
     base = scenario_config_from_file(args.scenario_config)
     train_cfg, aug, model = train_setup_from_file(args.train_config)
     if args.seed is not None:
-        from dataclasses import replace
-
         base = with_seed(base, args.seed)
         train_cfg = replace(train_cfg, seed=args.seed)
     scenario_cfgs = [with_seed(base, base.seed + i) for i in range(model["n_videos"])]
@@ -453,17 +456,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = pipeline_config_from_file(args.config)
-    weights = None
-    if cfg.inter == "clip_tracker":
-        if not cfg.weights_path:
-            raise ValueError("clip_tracker matching requires weights_path in the config")
-        weights = load_weights(cfg.weights_path)
-        dim = weights.config.input_dim
-    else:
-        dim = _sniff_dim(args.embs)
-    rows = parse_detections(args.dets)
-    embeddings = parse_embeddings(args.embs, dim)
-    stream = assemble_stream(rows, embeddings)
+    weights, stream = _load_stream(cfg, args.dets, args.embs)
     gt = parse_track_file(args.gt)
     grid = parse_grid(args.grid)
     table = sweep(stream, gt, grid, cfg, weights)

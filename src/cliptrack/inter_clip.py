@@ -1,10 +1,19 @@
 """Matching clip tracklets against global video-level tracks, and merging.
 
-Three matchers (IoU chaining in the shared overlap frame, temporally averaged
-feature matching, learned track-summary matching) and three history views
-(two_clip, moving_average, feature_bank) combine freely.  All matchers return
-an Assignment whose rows are the store's tracks in ascending id order and
-whose columns are the given tracklets in order.
+One ``match`` runs every matcher.  A matcher only decides how a track-tracklet
+pair is scored:
+
+* ``iou_chain``: ``1 - IoU`` of the boxes in the earliest overlap frame; a
+  track or tracklet absent from that frame matches nothing;
+* ``temporal_average``: ``1 - cosine`` of the L2-normalized means of the
+  track's history view and of the tracklet's embeddings;
+* ``clip_tracker``: ``1 - cosine`` of the L2-normalized learned summaries of
+  the same, all evaluated in one packed ``summarize_tracks`` call.
+
+History views (two_clip, moving_average, feature_bank) combine freely with
+the embedding matchers.  ``match`` returns an Assignment whose rows are the
+store's tracks in ascending id order and whose columns are the given
+tracklets in order.
 
 Matching objective, shared by every matcher: a track-tracklet pair is allowed
 when its cost is at most the gate (``1 - threshold``), and the matching
@@ -42,20 +51,6 @@ from .summarizer import (  # noqa: F401
 
 MANAGEMENT_STRATEGIES = ("two_clip", "moving_average", "feature_bank")
 MATCHERS = ("iou_chain", "temporal_average", "clip_tracker")
-
-
-@dataclass(frozen=True)
-class MatchConfig:
-    """Which inter-clip matcher to run and its gate."""
-
-    matcher: str = "temporal_average"
-    match_threshold: float = 0.5
-
-    def __post_init__(self):
-        if self.matcher not in MATCHERS:
-            raise ValueError(f"unknown matcher {self.matcher!r}")
-        if not 0.0 <= self.match_threshold <= 1.0:
-            raise ValueError("match threshold must lie in [0, 1]")
 
 
 DetectionKey = tuple[int, int]  # (frame, source_index): unique per input detection
@@ -114,103 +109,65 @@ def history_representation(
     raise ValueError(f"unknown management strategy {strategy!r}")
 
 
-def _mean_embedding(embeddings: list[Embedding]) -> Embedding:
+def mean_embedding(embeddings: list[Embedding]) -> Embedding:
+    """L2-normalized mean of a list of embeddings."""
     return l2_normalize(np.mean(np.stack(embeddings), axis=0))
 
 
-def match_iou_chain(
-    store: GlobalTrackStore,
-    tracklets: list[Tracklet],
-    overlap_frames,
-    iou_threshold: float = 0.5,
-) -> Assignment:
-    """Chain tracks through box overlap in the earliest shared frame.
+def cosine_cost(reps: list[Embedding], clip_reps: list[Embedding]) -> np.ndarray:
+    """``1 - cosine`` of unit rows against unit columns, one ``np.dot`` per pair.
 
-    Only pairs with boxes in that exact frame can match; tracks or tracklets
-    absent from it stay unmatched.  A pair is allowed at IoU >= iou_threshold
-    and taken under the module's shared objective, with cost ``1 - IoU``.
-    Not applicable without overlap frames.
-    """
-    overlap = sorted(overlap_frames)
-    if not overlap:
-        raise ValueError("IoU chaining requires at least one overlapping frame")
-    frame = overlap[0]
-    rows = store.ordered_tracks()
-    if not rows or not tracklets:
-        return Assignment.all_unmatched(len(rows), len(tracklets))
+    A matrix product would change the last bit of some cells."""
+    return np.array([[1.0 - float(np.dot(a, b)) for b in clip_reps] for a in reps])
+
+
+def _iou_cost(rows: list[GlobalTrack], tracklets: list[Tracklet], frame: int) -> np.ndarray:
+    """``1 - IoU`` in one frame; ``inf`` where either side has no box there."""
+    boxes = [next((d.box for d in t.entries if d.frame == frame), None) for t in tracklets]
     cost = np.full((len(rows), len(tracklets)), np.inf)
     for r, track in enumerate(rows):
         track_box = track.box_at(frame)
         if track_box is None:
             continue
-        for c, tracklet in enumerate(tracklets):
-            det = next((d for d in tracklet.entries if d.frame == frame), None)
-            if det is None:
-                continue
-            cost[r, c] = 1.0 - iou(track_box, det.box)
-    return solve_cost_limited(cost, 1.0 - iou_threshold)
-
-
-def match_temporal_average(
-    store: GlobalTrackStore, tracklets: list[Tracklet], threshold: float = 0.5
-) -> Assignment:
-    """Match mean-pooled, L2-normalized embeddings of histories and tracklets.
-
-    Cost is ``1 - cosine``, allowed at cosine >= threshold and taken under the
-    module's shared objective.
-    """
-    rows = store.ordered_tracks()
-    if not rows or not tracklets:
-        return Assignment.all_unmatched(len(rows), len(tracklets))
-    reps = [
-        _mean_embedding(history_representation(t, store.management, store.momentum))
-        for t in rows
-    ]
-    clip_reps = [_mean_embedding([d.embedding for d in t.entries]) for t in tracklets]
-    cost = np.array([[1.0 - float(np.dot(a, b)) for b in clip_reps] for a in reps])
-    return solve_cost_limited(cost, 1.0 - threshold)
-
-
-def match_clip_tracker(
-    store: GlobalTrackStore,
-    tracklets: list[Tracklet],
-    weights: SummarizerWeights,
-    threshold: float = 0.5,
-) -> Assignment:
-    """Match learned summaries of track histories against tracklet summaries.
-
-    Cost is ``1 - cosine`` of the L2-normalized summaries, allowed at cosine
-    >= threshold and taken under the module's shared objective.  All histories
-    and tracklets are summarized together, in packed forwards.
-    """
-    rows = store.ordered_tracks()
-    if not rows or not tracklets:
-        return Assignment.all_unmatched(len(rows), len(tracklets))
-    histories = [np.stack(history_representation(t, store.management, store.momentum)) for t in rows]
-    summaries = [
-        l2_normalize(u)
-        for u in summarize_tracks(weights, histories + [t.embeddings() for t in tracklets])
-    ]
-    reps, clip_reps = summaries[: len(rows)], summaries[len(rows) :]
-    cost = np.array([[1.0 - float(np.dot(a, b)) for b in clip_reps] for a in reps])
-    return solve_cost_limited(cost, 1.0 - threshold)
+        for c, box in enumerate(boxes):
+            if box is not None:
+                cost[r, c] = 1.0 - iou(track_box, box)
+    return cost
 
 
 def match(
     store: GlobalTrackStore,
     tracklets: list[Tracklet],
-    cfg: MatchConfig,
+    matcher: str,
+    threshold: float,
     overlap_frames=(),
     weights: SummarizerWeights | None = None,
 ) -> Assignment:
-    """Dispatch to the configured matcher."""
-    if cfg.matcher == "iou_chain":
-        return match_iou_chain(store, tracklets, overlap_frames, cfg.match_threshold)
-    if cfg.matcher == "temporal_average":
-        return match_temporal_average(store, tracklets, cfg.match_threshold)
-    if weights is None:
+    """Match the clip's tracklets against the store's tracks.
+
+    A pair is allowed at IoU or cosine >= ``threshold`` and taken under the
+    module's shared objective.  ``iou_chain`` needs at least one overlap
+    frame, ``clip_tracker`` needs summarizer weights.
+    """
+    if matcher not in MATCHERS:
+        raise ValueError(f"unknown matcher {matcher!r}")
+    if matcher == "iou_chain" and not overlap_frames:
+        raise ValueError("IoU chaining requires at least one overlapping frame")
+    if matcher == "clip_tracker" and weights is None:
         raise ValueError("clip_tracker matching requires summarizer weights")
-    return match_clip_tracker(store, tracklets, weights, cfg.match_threshold)
+    rows = store.ordered_tracks()
+    if not rows or not tracklets:
+        return Assignment.all_unmatched(len(rows), len(tracklets))
+    if matcher == "iou_chain":
+        return solve_cost_limited(_iou_cost(rows, tracklets, min(overlap_frames)), 1.0 - threshold)
+    histories = [history_representation(t, store.management, store.momentum) for t in rows]
+    clip_embeddings = [[d.embedding for d in t.entries] for t in tracklets]
+    if matcher == "temporal_average":
+        reps = [mean_embedding(e) for e in histories + clip_embeddings]
+    else:
+        tracks = [np.stack(e) for e in histories + clip_embeddings]
+        reps = [l2_normalize(u) for u in summarize_tracks(weights, tracks)]
+    return solve_cost_limited(cosine_cost(reps[: len(rows)], reps[len(rows) :]), 1.0 - threshold)
 
 
 def merge(

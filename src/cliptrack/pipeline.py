@@ -19,9 +19,9 @@ from .inter_clip import (
     MANAGEMENT_STRATEGIES,
     MATCHERS,
     GlobalTrackStore,
-    MatchConfig,
-    _mean_embedding,
+    cosine_cost,
     match,
+    mean_embedding,
     merge,
 )
 from .intra_clip import Clip, associate_direction_free, associate_directional
@@ -126,9 +126,7 @@ def run(
             assignment = Assignment.all_unmatched(0, len(tracklets))
         else:
             threshold = cfg.iou_threshold if cfg.inter == "iou_chain" else cfg.match_threshold
-            assignment = match(
-                store, tracklets, MatchConfig(cfg.inter, threshold), overlap, weights
-            )
+            assignment = match(store, tracklets, cfg.inter, threshold, overlap, weights)
         merge(store, assignment, tracklets)
 
         processed_end = max(processed_end, end)
@@ -149,8 +147,8 @@ def frame_by_frame_baseline(
     recent embedding by cosine similarity gated at match_threshold, under the
     inter-clip matching objective (a pair is taken only where ``1 - cosine``
     beats the gate; ``core.solve_cost_limited``); leftovers open new tracks.
-    Arithmetic mirrors the clip pipeline's two-clip / temporal-average path
-    exactly.
+    It shares the temporal-average matcher's mean and cost helpers, so its
+    arithmetic is that path's exactly.
     """
     tracks: dict[int, GlobalTrack] = {}
     last_emb: dict[int, np.ndarray] = {}
@@ -160,10 +158,11 @@ def frame_by_frame_baseline(
         ids = sorted(tracks)
         matched_cols: set[int] = set()
         if ids and dets:
-            reps = [_mean_embedding([last_emb[i]]) for i in ids]
-            det_reps = [_mean_embedding([d.embedding]) for d in dets]
-            cost = np.array([[1.0 - float(np.dot(a, b)) for b in det_reps] for a in reps])
-            assignment = solve_cost_limited(cost, 1.0 - cfg.match_threshold)
+            reps = [mean_embedding([last_emb[i]]) for i in ids]
+            det_reps = [mean_embedding([d.embedding]) for d in dets]
+            assignment = solve_cost_limited(
+                cosine_cost(reps, det_reps), 1.0 - cfg.match_threshold
+            )
             for r, c in assignment.pairs:
                 track = tracks[ids[r]]
                 det = dets[c]

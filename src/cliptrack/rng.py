@@ -57,10 +57,6 @@ class SplitMix64:
     def gauss_vector(self, dim: int, sigma: float = 1.0) -> np.ndarray:
         return np.array([self.gauss(0.0, sigma) for _ in range(dim)], dtype=np.float64)
 
-    def spawn(self, label: int) -> "SplitMix64":
-        """Independent substream keyed by an integer label."""
-        return SplitMix64(self.next_u64() ^ ((label * _GAMMA) & _MASK))
-
 
 def unit_vector(rng: SplitMix64, dim: int) -> np.ndarray:
     """Random direction on the unit sphere (gaussian draw, normalized)."""

@@ -18,6 +18,7 @@ window, ``light_change`` adds a shared bias to all embeddings in the window.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
@@ -88,6 +89,8 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be >= 0")
         if self.embedding_dim < 2:
             raise ValueError("embedding_dim must be >= 2")
+        if not self.modulation_period > 0:
+            raise ValueError("modulation_period must be > 0")
 
 
 @dataclass
@@ -351,6 +354,23 @@ def _in_band(q: float, band: tuple[float, float]) -> bool:
     return lo <= q <= hi if hi >= 1.0 else lo <= q < hi
 
 
+def _proposals_in_band(rng: SplitMix64, gt_box: BoundingBox, band: tuple[float, float], cap: int):
+    """Lazily yield ``(box, IoU)`` draws whose IoU lies in band, by rejection.
+
+    A band starting at 1 yields the GT box itself without drawing.  Raises
+    once ``cap`` attempts (accepted ones included) are used up.  The caller may
+    draw from ``rng`` between items; the stream stays in that order.
+    """
+    for _attempt in range(cap):
+        if band[0] >= 1.0:
+            yield gt_box, 1.0
+            continue
+        cand, q = _sample_proposal(rng, gt_box)
+        if _in_band(q, band):
+            yield cand, q
+    raise ValueError(f"IoU band {band} unreachable after {cap} attempts")
+
+
 def jittered_proposals(
     gt: GroundTruth, identity: int, frame: int, band: tuple[float, float], count: int, seed: int
 ) -> list[tuple[BoundingBox, float]]:
@@ -361,20 +381,8 @@ def jittered_proposals(
     gt_box = gt.trajectories[identity].get(frame)
     if gt_box is None:
         raise ValueError(f"identity {identity} has no ground truth at frame {frame}")
-    if lo >= 1.0:
-        return [(gt_box, 1.0)] * count
-    rng = SplitMix64(seed)
-    out: list[tuple[BoundingBox, float]] = []
-    attempts = 0
-    cap = 4000 * max(count, 1)
-    while len(out) < count:
-        attempts += 1
-        if attempts > cap:
-            raise ValueError(f"IoU band {band} unreachable after {cap} attempts")
-        cand, q = _sample_proposal(rng, gt_box)
-        if _in_band(q, band):
-            out.append((cand, q))
-    return out
+    draws = _proposals_in_band(SplitMix64(seed), gt_box, band, 4000 * max(count, 1))
+    return list(itertools.islice(draws, count))
 
 
 @dataclass(frozen=True, eq=False)
@@ -418,6 +426,8 @@ def build_proposal_pool(
     per_frame: int = 2,
     seed: int = 0,
 ) -> ProposalPool:
+    if per_frame < 1:
+        raise ValueError(f"per_frame must be >= 1, got {per_frame}")
     rng = SplitMix64(seed)
     pool = ProposalPool()
     for identity in range(gt.config.identities):
@@ -426,21 +436,10 @@ def build_proposal_pool(
         for frame in sorted(gt.trajectories[identity]):
             gt_box = gt.trajectories[identity][frame]
             for band, bucket in (((positive_iou, 1.0), pos), (negative_band, neg)):
-                made = 0
-                attempts = 0
-                while made < per_frame:
-                    attempts += 1
-                    if attempts > 4000 * per_frame:
-                        raise ValueError(f"IoU band {band} unreachable for identity {identity}")
-                    if band[0] >= 1.0:
-                        cand, q = gt_box, 1.0
-                    else:
-                        cand, q = _sample_proposal(rng, gt_box)
-                        if not _in_band(q, band):
-                            continue
+                draws = _proposals_in_band(rng, gt_box, band, 4000 * per_frame)
+                for cand, q in itertools.islice(draws, per_frame):
                     emb = _proposal_embedding(rng, gt, identity, frame, q)
                     bucket.append(Proposal(identity, frame, cand, q, emb))
-                    made += 1
         pool.positives[identity] = pos
         pool.negatives[identity] = neg
     return pool

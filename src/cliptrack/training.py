@@ -50,7 +50,6 @@ class AugmentConfig:
     negative_band: tuple[float, float] = (0.3, 0.5)
     track_type_probs: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)  # pos, neg, hybrid
     mixup_bound: float = 0.3
-    scattered_mixup: bool = False
 
     def __post_init__(self):
         lo, hi = self.negative_band
@@ -85,7 +84,6 @@ class TrainConfig:
     tracks_per_video: int = 8
     momentum: float = 0.9
     seed: int = 0
-    deterministic: bool = True
     track_len_min: int = 2
     track_len_max: int = 10
     sample_span: int = 10  # frames one sample may draw from
@@ -96,8 +94,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        for name in ("epochs", "steps_per_epoch", "videos_per_batch", "tracks_per_video"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError("momentum must lie in [0, 1)")
+        if not self.loss_temperature > 0.0:
+            raise ValueError("loss_temperature must be > 0")
         if not 1 <= self.track_len_min <= self.track_len_max:
             raise ValueError("bad track length range")
 
@@ -260,37 +263,11 @@ def track_mixup(sample: TrainSample, donor: TrainSample, bound: float, seed: int
     return TrainSample(track, tuple(tags), sample.identity, sample.video)
 
 
-def _scattered_mixup(sample: TrainSample, donor: TrainSample, bound: float, seed: int) -> TrainSample:
-    if (donor.video, donor.identity) == (sample.video, sample.identity):
-        raise ValueError("mixup donor must be a different identity")
-    if bound <= 0.0:
-        return sample
-    rng = SplitMix64(seed)
-    length = sample.track.shape[0]
-    u = bound * (1.0 - rng.uniform())
-    k = max(1, math.floor(u * length))
-    if k >= length:
-        return sample
-    track = sample.track.copy()
-    tags = list(sample.tags)
-    donor_pool = [i for i, tag in enumerate(donor.tags) if tag == TAG_POSITIVE]
-    if not donor_pool:
-        donor_pool = list(range(donor.track.shape[0]))
-    remaining = list(range(length))
-    for _ in range(k):
-        t = remaining.pop(rng.randint(len(remaining)))
-        j = donor_pool[rng.randint(len(donor_pool))]
-        track[t] = donor.track[j]
-        tags[t] = TAG_MIXED
-    return TrainSample(track, tuple(tags), sample.identity, sample.video)
-
-
 def apply_mixup(samples: list[TrainSample], aug: AugmentConfig, seed: int) -> list[TrainSample]:
     """Mix every sample with a randomly chosen foreign-identity donor."""
     if aug.mixup_bound <= 0.0:
         return samples
     rng = SplitMix64(seed)
-    mixer = _scattered_mixup if aug.scattered_mixup else track_mixup
     out = []
     for i, sample in enumerate(samples):
         donors = [
@@ -301,7 +278,7 @@ def apply_mixup(samples: list[TrainSample], aug: AugmentConfig, seed: int) -> li
             out.append(sample)
             continue
         donor = donors[rng.randint(len(donors))]
-        out.append(mixer(sample, donor, aug.mixup_bound, rng.next_u64()))
+        out.append(track_mixup(sample, donor, aug.mixup_bound, rng.next_u64()))
     return out
 
 
@@ -378,11 +355,7 @@ def train(
         epoch_losses = []
         for _step in range(cfg.steps_per_epoch):
             batch = sample_source(schedule.next_u64())
-            grads, loss = gradient(
-                weights, batch,
-                deterministic=cfg.deterministic,
-                loss_temperature=cfg.loss_temperature,
-            )
+            grads, loss = gradient(weights, batch, loss_temperature=cfg.loss_temperature)
             if not math.isfinite(loss):
                 raise ValueError(f"training diverged at epoch {epoch}: loss is not finite")
             for w, g, v in zip(weights.arrays(), grads.arrays(), velocity.arrays()):

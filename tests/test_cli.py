@@ -224,6 +224,20 @@ class TestMainEndToEnd:
         assert report.idf1 == 1.0
         assert report.id_switches == 0
 
+    def test_track_embedding_dim_flag_matches_sniffed_dim(self, tmp_path):
+        scen_cfg = tmp_path / "scenario.cfg"
+        write_scenario_cfg(scen_cfg)
+        out_dir = tmp_path / "sim"
+        main(["simulate", "--config", str(scen_cfg), "--out-dir", str(out_dir)])
+        pipe_cfg = tmp_path / "pipeline.cfg"
+        write_pipeline_cfg(pipe_cfg)
+        base = ["track", "--dets", str(out_dir / "dets.txt"), "--embs", str(out_dir / "embs.txt"),
+                "--config", str(pipe_cfg), "--out"]
+        assert main(base + [str(tmp_path / "a.txt")]) == 0
+        assert main(base + [str(tmp_path / "b.txt"), "--embedding-dim", "8"]) == 0
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+        assert main(base + [str(tmp_path / "c.txt"), "--embedding-dim", "7"]) == 2
+
     def test_eval_pred_equals_gt(self, tmp_path):
         scen_cfg = tmp_path / "scenario.cfg"
         write_scenario_cfg(scen_cfg)
@@ -326,6 +340,32 @@ class TestExitCodes:
             ["eval", "--gt", str(bad), "--pred", str(bad), "--report", str(tmp_path / "r.json")]
         )
         assert code == 2
+
+    def test_zero_modulation_period_is_data_error(self, tmp_path, capsys):
+        scen_cfg = tmp_path / "scenario.cfg"
+        write_scenario_cfg(scen_cfg, modulation_period=0)
+        assert main(["simulate", "--config", str(scen_cfg), "--out-dir", str(tmp_path / "s")]) == 2
+        assert "modulation_period" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, field",
+        [
+            ("loss_temperature = 0", "loss_temperature"),
+            ("scattered_mixup = true", "scattered_mixup"),
+            ("deterministic = true", "deterministic"),
+        ],
+    )
+    def test_bad_train_key_is_data_error(self, tmp_path, capsys, line, field):
+        scen_cfg = tmp_path / "scenario.cfg"
+        write_scenario_cfg(scen_cfg, frames=16)
+        train_cfg = tmp_path / "train.cfg"
+        train_cfg.write_text(f"epochs = 1\nsteps_per_epoch = 1\nmodel_dim = 8\nn_heads = 2\n{line}\n")
+        code = main(
+            ["train", "--scenario-config", str(scen_cfg), "--out-weights",
+             str(tmp_path / "w.bin"), "--train-config", str(train_cfg)]
+        )
+        assert code == 2
+        assert field in capsys.readouterr().err
 
 
 class TestTrackFileParsing:

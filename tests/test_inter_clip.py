@@ -16,9 +16,7 @@ from cliptrack import inter_clip
 from cliptrack.inter_clip import (
     GlobalTrackStore,
     history_representation,
-    match_clip_tracker,
-    match_iou_chain,
-    match_temporal_average,
+    match,
     merge,
 )
 from cliptrack.rng import SplitMix64, unit_vector
@@ -87,28 +85,28 @@ class TestMatchIouChain:
         old = tracklet(0, [det(f, E1, x=5.0) for f in range(4)], (0, 3))
         store = store_with([old])
         new = tracklet(0, [det(f, E2, x=5.0) for f in range(2, 6)], (2, 5))
-        got = match_iou_chain(store, [new], overlap_frames=[2, 3], iou_threshold=0.5)
+        got = match(store, [new], "iou_chain", 0.5, overlap_frames=[2, 3])
         assert got.pairs == ((0, 0),)
 
     def test_absent_from_overlap_frame_unmatched(self):
         old = tracklet(0, [det(f, E1, x=5.0) for f in range(4)], (0, 3))
         store = store_with([old])
         late = tracklet(0, [det(f, E1, x=5.0) for f in range(4, 6)], (2, 5))
-        got = match_iou_chain(store, [late], overlap_frames=[2, 3], iou_threshold=0.5)
+        got = match(store, [late], "iou_chain", 0.5, overlap_frames=[2, 3])
         assert got.pairs == ()
         assert got.unmatched_cols == (0,)
 
     def test_empty_overlap_errors(self):
         store = store_with([tracklet(0, [det(0, E1)], (0, 0))])
         with pytest.raises(ValueError):
-            match_iou_chain(store, [tracklet(0, [det(1, E1)], (1, 1))], overlap_frames=[])
+            match(store, [tracklet(0, [det(1, E1)], (1, 1))], "iou_chain", 0.5, overlap_frames=[])
 
     def test_only_first_overlap_frame_counts(self):
         # Present at the second overlap frame but not the first: no match.
         old = tracklet(0, [det(f, E1, x=5.0) for f in range(4)], (0, 3))
         store = store_with([old])
         new = tracklet(0, [det(3, E1, x=5.0), det(4, E1, x=5.0)], (2, 5))
-        got = match_iou_chain(store, [new], overlap_frames=[2, 3], iou_threshold=0.5)
+        got = match(store, [new], "iou_chain", 0.5, overlap_frames=[2, 3])
         assert got.pairs == ()
 
 
@@ -116,13 +114,13 @@ class TestMatchTemporalAverage:
     def test_identical_embeddings_match(self):
         store = store_with([tracklet(0, [det(f, E1) for f in range(3)], (0, 2))])
         new = tracklet(0, [det(f, E1) for f in range(3, 5)], (3, 4))
-        got = match_temporal_average(store, [new], threshold=0.5)
+        got = match(store, [new], "temporal_average", 0.5)
         assert got.pairs == ((0, 0),)
 
     def test_orthogonal_unmatched(self):
         store = store_with([tracklet(0, [det(f, E1) for f in range(3)], (0, 2))])
         new = tracklet(0, [det(f, E2) for f in range(3, 5)], (3, 4))
-        got = match_temporal_average(store, [new], threshold=0.5)
+        got = match(store, [new], "temporal_average", 0.5)
         assert got.pairs == ()
 
     def test_rotating_embeddings_defeat_averaging(self):
@@ -137,7 +135,7 @@ class TestMatchTemporalAverage:
         embeddings = [at(a) for a in angles]
         store = store_with([tracklet(0, [det(f, embeddings[f]) for f in range(3)], (0, 2))])
         new = tracklet(0, [det(f, embeddings[f]) for f in range(3, 6)], (3, 5))
-        got = match_temporal_average(store, [new], threshold=0.5)
+        got = match(store, [new], "temporal_average", 0.5)
         assert got.pairs == ()
         step_sims = [cosine_similarity(a, b) for a, b in zip(embeddings, embeddings[1:])]
         assert all(s > 0.8 for s in step_sims)
@@ -148,7 +146,7 @@ class TestMatchTemporalAverage:
         e_det = unit_vector(rng, 4)
         store = store_with([tracklet(0, [det(0, e_track)], (0, 0))], buffer_size=1)
         new = tracklet(0, [det(1, e_det)], (1, 1))
-        got = match_temporal_average(store, [new], threshold=0.0)
+        got = match(store, [new], "temporal_average", 0.0)
         sim = cosine_similarity(e_track, e_det)
         assert (got.pairs == ((0, 0),)) == (sim >= 0.0)
 
@@ -176,10 +174,53 @@ class TestMatchTemporalAverage:
         ]
         cost = np.array([[1.0 - float(np.dot(t, c)) for c in (own, weak)] for t in (fresh, stale)])
         assert solve_assignment(cost, 0.5).pairs == ((0, 1), (1, 0))  # cardinality first
-        got = match_temporal_average(store, news, threshold=0.5)
+        got = match(store, news, "temporal_average", 0.5)
         assert got.pairs == ((0, 0),)
         assert got.unmatched_rows == (1,)
         assert got.unmatched_cols == (1,)
+
+    @pytest.mark.parametrize("management", ["two_clip", "moving_average", "feature_bank"])
+    def test_cost_matrix_equals_per_pair_reference(self, monkeypatch, management):
+        # At 32 dims a matrix product differs from per-pair dots in some cells.
+        rng = SplitMix64(23)
+        old = [
+            tracklet(i, [det(f, unit_vector(rng, 32), source=i) for f in range(n)], (0, 11))
+            for i, n in enumerate([1, 3, 3, 5, 12, 2])
+        ]
+        store = store_with(old, management=management, buffer_size=8)
+        news = [
+            tracklet(i, [det(f, unit_vector(rng, 32), source=i) for f in range(12, 12 + n)], (12, 23))
+            for i, n in enumerate([2, 1, 1, 6, 12])
+        ]
+        seen = []
+        monkeypatch.setattr(
+            inter_clip, "solve_cost_limited", lambda cost, gate: seen.append(cost) or
+            Assignment.all_unmatched(*cost.shape),
+        )
+        match(store, news, "temporal_average", 0.5)
+
+        def mean(embeddings):
+            return l2_normalize(np.mean(np.stack(embeddings), axis=0))
+
+        reps = [mean(history_representation(t, management)) for t in store.ordered_tracks()]
+        clip_reps = [mean([d.embedding for d in t.entries]) for t in news]
+        want = np.empty((len(reps), len(clip_reps)))
+        for r, a in enumerate(reps):
+            for c, b in enumerate(clip_reps):
+                want[r, c] = 1.0 - np.dot(a, b)
+        assert np.array_equal(seen[0], want)
+
+
+class TestMatch:
+    def test_unknown_matcher_rejected(self):
+        store = store_with([tracklet(0, [det(0, E1)], (0, 0))])
+        with pytest.raises(ValueError, match="unknown matcher 'nearest'"):
+            match(store, [tracklet(0, [det(1, E1)], (1, 1))], "nearest", 0.5)
+
+    def test_clip_tracker_without_weights_rejected(self):
+        store = store_with([tracklet(0, [det(0, E1)], (0, 0))])
+        with pytest.raises(ValueError, match="weights"):
+            match(store, [tracklet(0, [det(1, E1)], (1, 1))], "clip_tracker", 0.5)
 
 
 class TestMatchClipTracker:
@@ -188,20 +229,20 @@ class TestMatchClipTracker:
     def test_empty_store_all_unmatched(self):
         store = GlobalTrackStore()
         new = tracklet(0, [det(0, E1)], (0, 0))
-        got = match_clip_tracker(store, [new], self.WEIGHTS, threshold=0.5)
+        got = match(store, [new], "clip_tracker", 0.5, weights=self.WEIGHTS)
         assert got == Assignment.all_unmatched(0, 1)
 
     def test_identical_sequences_match(self):
         store = store_with([tracklet(0, [det(f, E1) for f in range(3)], (0, 2))])
         new = tracklet(0, [det(f, E1) for f in range(3, 6)], (3, 5))
-        got = match_clip_tracker(store, [new], self.WEIGHTS, threshold=0.5)
+        got = match(store, [new], "clip_tracker", 0.5, weights=self.WEIGHTS)
         assert got.pairs == ((0, 0),)
 
     def test_dimension_mismatch_errors(self):
         store = store_with([tracklet(0, [det(0, np.ones(6))], (0, 0))])
         new = tracklet(0, [det(1, np.ones(6))], (1, 1))
         with pytest.raises(ValueError):
-            match_clip_tracker(store, [new], self.WEIGHTS, threshold=0.5)
+            match(store, [new], "clip_tracker", 0.5, weights=self.WEIGHTS)
 
     def test_gate_respected(self):
         rng = SplitMix64(17)
@@ -214,7 +255,7 @@ class TestMatchClipTracker:
             tracklet(0, [det(f, unit_vector(rng, 4), source=0) for f in range(3, 5)], (3, 4)),
             tracklet(1, [det(f, unit_vector(rng, 4), source=1) for f in range(3, 5)], (3, 4)),
         ]
-        got = match_clip_tracker(store, news, self.WEIGHTS, threshold=0.5)
+        got = match(store, news, "clip_tracker", 0.5, weights=self.WEIGHTS)
         for r, c in got.pairs:
             track = store.ordered_tracks()[r]
             rep = l2_normalize(
@@ -243,7 +284,7 @@ class TestMatchClipTracker:
             inter_clip, "solve_cost_limited", lambda cost, gate: seen.append(cost) or
             Assignment.all_unmatched(*cost.shape),
         )
-        match_clip_tracker(store, news, weights, threshold=0.5)
+        match(store, news, "clip_tracker", 0.5, weights=weights)
         reps = [
             l2_normalize(forward_summarize(weights, np.stack(history_representation(t, management))))
             for t in store.ordered_tracks()

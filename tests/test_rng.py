@@ -43,10 +43,3 @@ def test_unit_vector_norm():
     for _ in range(20):
         v = unit_vector(rng, 16)
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
-
-
-def test_spawn_independent_streams():
-    rng = SplitMix64(9)
-    a = rng.spawn(1)
-    b = rng.spawn(2)
-    assert [a.next_u64() for _ in range(5)] != [b.next_u64() for _ in range(5)]

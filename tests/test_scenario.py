@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,13 @@ def noiseless_config(**overrides):
     base = dict(frames=30, identities=4, embedding_dim=16, seed=11)
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+class TestScenarioConfig:
+    @pytest.mark.parametrize("period", [0.0, -5.0])
+    def test_nonpositive_modulation_period_rejected(self, period):
+        with pytest.raises(ValueError, match="modulation_period"):
+            ScenarioConfig(modulation_period=period)
 
 
 class TestGenerate:
@@ -131,6 +140,26 @@ class TestJitteredProposals:
 
 
 class TestProposalPool:
+    def test_draw_order_pinned(self):
+        # Boxes, IoUs and embeddings share one stream; any change to its draw
+        # order moves this hash.
+        gt, _ = generate(ScenarioConfig(frames=12, identities=3, embedding_noise=0.1, seed=77))
+        pool = build_proposal_pool(gt, per_frame=2, seed=78)
+        h = hashlib.sha256()
+        for bucket in (pool.positives, pool.negatives):
+            for identity in sorted(bucket):
+                for p in bucket[identity]:
+                    fields = [p.identity, p.frame, *p.box.as_tuple(), p.iou]
+                    h.update(np.array(fields, dtype=np.float64).tobytes())
+                    h.update(p.embedding.tobytes())
+        assert h.hexdigest() == "441cca66aa72e6e4102b5fff7106194ab4470a6a0a89da481c0ebbfa21f84076"
+
+    @pytest.mark.parametrize("per_frame", [0, -1])
+    def test_nonpositive_per_frame_rejected(self, per_frame):
+        gt, _ = generate(noiseless_config(frames=4, identities=2))
+        with pytest.raises(ValueError, match="per_frame"):
+            build_proposal_pool(gt, per_frame=per_frame)
+
     def test_bands_and_embedding_quality(self):
         gt, _ = generate(noiseless_config(frames=10, identities=3))
         pool = build_proposal_pool(gt, per_frame=1, seed=9)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -129,6 +130,38 @@ class TestTrackMixup:
         sample, donor = self.donor_and_sample()
         out = apply_mixup([sample, donor], AugmentConfig(), seed=5)
         assert any(TAG_MIXED in s.tags for s in out)
+
+    def test_apply_mixup_draw_order_pinned(self, small_world):
+        gt, pool = small_world
+        samples = build_track_samples(gt, pool, AugmentConfig(), seed=79, count=8)
+        out = apply_mixup(samples, AugmentConfig(), seed=80)
+        assert any(TAG_MIXED in s.tags for s in out)
+        h = hashlib.sha256()
+        for s in out:
+            h.update(s.track.tobytes())
+            h.update(repr((s.tags, s.identity, s.video)).encode())
+        assert h.hexdigest() == "d4f2ad8a61a4e8adbf9f8b2669e1243099dd9c8becfe275ee21fe606bbe7cdb2"
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("loss_temperature", 0.0),
+            ("loss_temperature", -0.1),
+            ("steps_per_epoch", 0),
+            ("videos_per_batch", 0),
+            ("tracks_per_video", 0),
+            ("momentum", -0.1),
+            ("momentum", 1.0),
+        ],
+    )
+    def test_bad_value_rejected_naming_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_momentum_zero_allowed(self):
+        assert TrainConfig(momentum=0.0).momentum == 0.0
 
 
 class TestTrain:
