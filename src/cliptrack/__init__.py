@@ -29,7 +29,6 @@ from .scenario import (
     ScenarioConfig,
     build_proposal_pool,
     generate,
-    jittered_proposals,
 )
 from .summarizer import (
     SummarizerConfig,

@@ -1,5 +1,12 @@
 """Domain types, geometry and similarity primitives, and the assignment solver.
 
+Every assignment in the package (intra-clip association, inter-clip matching,
+the per-frame scorer and the IDF1 bijection) goes through one exact solve path:
+the allowed pairs are split into connected components, and each component is
+solved alone, with an "unmatched" slot for every row.  A slot costs
+``max_cost`` in ``solve_cost_limited``, and more than one more pair can add in
+``solve_assignment``, which therefore maximizes the pair count first.
+
 Embeddings are plain 1-D float64 numpy arrays throughout the package; the
 helpers here validate them at construction boundaries.  All operations are
 pure; values are immutable once built and safe to share across threads.
@@ -9,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -49,10 +55,6 @@ class BoundingBox:
     @property
     def y2(self) -> float:
         return self.y + self.h
-
-    @property
-    def area(self) -> float:
-        return self.w * self.h
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x, self.y, self.w, self.h)
@@ -138,9 +140,6 @@ class Assignment:
     def all_unmatched(n_rows: int, n_cols: int) -> "Assignment":
         return Assignment((), tuple(range(n_rows)), tuple(range(n_cols)))
 
-    def row_to_col(self) -> dict[int, int]:
-        return dict(self.pairs)
-
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
     """Intersection over union of two boxes, in [0, 1].
@@ -198,77 +197,31 @@ def bisoftmax_affinity(
 
 # --- assignment solver -------------------------------------------------------
 #
-# Pairs with cost > max_cost (or non-finite cost) are forbidden.  Among
-# matchings over allowed pairs the solver maximizes the number of matched
-# pairs, then minimizes total cost, then picks the lexicographically smallest
-# sorted (row, col) pair list.  Every float is a dyadic rational, so the whole
-# objective is encoded into exact integers: primary costs are scaled to a
-# common power-of-two denominator and combined with per-pair tie-break bits.
-# The result is bit-reproducible across platforms and agrees with exhaustive
-# search.
-
-
-def _exact_int_costs(cost: np.ndarray, allowed: np.ndarray) -> list[list[int]]:
-    fracs = {}
-    max_shift = 0
-    for i, j in zip(*np.nonzero(allowed)):
-        f = Fraction(float(cost[i, j]))
-        fracs[(int(i), int(j))] = f
-        max_shift = max(max_shift, f.denominator.bit_length() - 1)
-    ints = [[0] * cost.shape[1] for _ in range(cost.shape[0])]
-    for (i, j), f in fracs.items():
-        shift = max_shift - (f.denominator.bit_length() - 1)
-        ints[i][j] = f.numerator << shift
-    return ints
+# Pairs with cost > max_cost (or non-finite cost) are forbidden.  Both entry
+# points run one routine.  It splits the allowed pairs into connected
+# components, which share no row or column and so are solved alone; rows and
+# columns without an allowed pair stay unmatched.  A component with one row or
+# one column takes its cheapest pair, the first index on a tie.  Any other
+# component of k rows and l columns is solved as a k x (l + k) grid: row a holds
+# its allowed pairs and, in column l + a, its own "unmatched" slot, priced as
+# leaving both a row and a column unmatched:
+#
+# - cost-limited (``solve_cost_limited``): ``max_cost``, i.e. ``max_cost / 2``
+#   for the row and as much for the column;
+# - cardinality-first (``solve_assignment``): pair costs are shifted so the
+#   smallest is 0, and the slot costs ``min(k, l) * pmax + 1``, more than one
+#   more pair can add to any matching, so one more pair always pays.
+#
+# Every float is a dyadic rational, so the costs are scaled to exact integers
+# on a common power-of-two denominator, and each row's cells get one tie-break
+# bit, real columns before the row's slot.  Among optimal matchings this picks
+# the lexicographically smallest sorted (row, col) pair list.  The result is
+# bit-reproducible across platforms and agrees with exhaustive search.
 
 
 def solve_assignment(cost, max_cost: float) -> Assignment:
     """Gated minimum-cost bipartite matching with exact deterministic tie-breaks."""
-    c = np.asarray(cost, dtype=np.float64)
-    if c.ndim != 2:
-        raise ValueError("cost must be a 2-D matrix")
-    n, m = c.shape
-    if n == 0 or m == 0:
-        return Assignment.all_unmatched(n, m)
-
-    allowed = np.isfinite(c) & (c <= max_cost)
-    if not allowed.any():
-        return Assignment.all_unmatched(n, m)
-
-    ints = _exact_int_costs(c, allowed)
-    pmin = min(ints[i][j] for i, j in zip(*np.nonzero(allowed)))
-    pmax = 0
-    for i, j in zip(*np.nonzero(allowed)):
-        ints[i][j] -= pmin
-        pmax = max(pmax, ints[i][j])
-
-    nm = n * m
-    base = 1 << nm
-    size = max(n, m)
-    # One forbidden slot must outweigh any achievable allowed total.
-    forbid = (size * (pmax + 1) + size + 1) * base
-
-    combined = [[forbid] * size for _ in range(size)]
-    for i in range(n):
-        for j in range(m):
-            if allowed[i, j]:
-                combined[i][j] = ints[i][j] * base + base - (1 << (nm - 1 - (i * m + j)))
-
-    col_to_row = _jv_square(combined, size)
-
-    pairs = []
-    for j in range(m):
-        i = col_to_row[j]
-        if i < n and allowed[i, j]:
-            pairs.append((i, j))
-    pairs.sort()
-    matched_rows = {i for i, _ in pairs}
-    matched_cols = {j for _, j in pairs}
-    return Assignment(
-        tuple(pairs),
-        tuple(i for i in range(n) if i not in matched_rows),
-        tuple(j for j in range(m) if j not in matched_cols),
-    )
+    return _solve(cost, max_cost, cost_limited=False)
 
 
 def solve_cost_limited(cost, max_cost: float) -> Assignment:
@@ -276,33 +229,65 @@ def solve_cost_limited(cost, max_cost: float) -> Assignment:
 
     Minimizes the total of ``cost - max_cost`` over matched pairs, so a pair
     under the gate is never displaced to make room for an extra, weaker one
-    (``solve_assignment`` maximizes the pair count first).  Posed for
-    ``solve_assignment`` by giving every row and column that has an allowed
-    pair a private "unmatched" slot at ``max_cost / 2``; a pair replaces two
-    such slots.  A pair costing exactly ``max_cost`` ties with leaving both
-    sides unmatched; the lexicographic tie-break, which ranks every real
-    column before the slots, settles it.
+    (``solve_assignment`` maximizes the pair count first).  Posed by giving
+    every row and column that has an allowed pair a private "unmatched" slot
+    at ``max_cost / 2``; a pair replaces two such slots.  A pair costing
+    exactly ``max_cost`` ties with leaving both sides unmatched; the
+    lexicographic tie-break, which ranks every real column before the slots,
+    settles it.
     """
+    return _solve(cost, max_cost, cost_limited=True)
+
+
+def _solve(cost, max_cost: float, cost_limited: bool) -> Assignment:
     c = np.asarray(cost, dtype=np.float64)
     if c.ndim != 2:
         raise ValueError("cost must be a 2-D matrix")
-    if not math.isfinite(max_cost):
+    if cost_limited and not math.isfinite(max_cost):
         raise ValueError("max cost must be finite")
     n, m = c.shape
-    allowed = np.isfinite(c) & (c <= max_cost)
+    ii, jj = np.nonzero(np.isfinite(c) & (c <= max_cost))
+    cells = list(zip(ii.tolist(), jj.tolist()))
+    costs = dict(zip(cells, c[ii, jj].tolist()))
+    slot = max_cost / 2
     pairs = []
-    # Connected components of the allowed pairs share no row or column, so
-    # each is solved alone; rows and columns without an allowed pair stay
-    # unmatched.  Index order is kept, and with it the tie-break.
-    for rows, cols in _components(allowed):
+    for component in _components(cells, n, m):
+        rows = sorted({i for i, _ in component})
+        cols = sorted({j for _, j in component})
         k, l = len(rows), len(cols)
-        padded = np.full((k + l, l + k), math.inf)
-        padded[:k, :l] = np.where(allowed[np.ix_(rows, cols)], c[np.ix_(rows, cols)], math.inf)
-        padded[np.arange(k), l + np.arange(k)] = max_cost / 2
-        padded[k + np.arange(l), np.arange(l)] = max_cost / 2
-        padded[k:, l:] = 0.0
-        inner = solve_assignment(padded, math.inf)
-        pairs += [(rows[i], cols[j]) for i, j in inner.pairs if i < k and j < l]
+        if k == 1 or l == 1:
+            best, i, j = min((costs[cell], *cell) for cell in component)
+            if not cost_limited or best <= slot + slot:
+                pairs.append((i, j))
+            continue
+
+        values = [costs[cell] for cell in component] + ([slot + slot] if cost_limited else [])
+        ratios = [float(x).as_integer_ratio() for x in values]
+        shift = max(d.bit_length() for _, d in ratios)
+        ints = [num << (shift - d.bit_length()) for num, d in ratios]
+        low = min(ints)
+        ints = [x - low for x in ints]
+        if cost_limited:
+            *ints, unmatched = ints
+        else:
+            unmatched = min(k, l) * max(ints) + 1
+
+        # Row a's cells: its allowed pairs, then its own slot column l + a.
+        width = l + 1
+        bits = k * width
+        base = 1 << bits
+        forbid = k * (max(ints + [unmatched]) + 1) * base
+        grid = [[forbid] * (l + k) for _ in range(k)]
+        row_at = {i: a for a, i in enumerate(rows)}
+        col_at = {j: b for b, j in enumerate(cols)}
+        for (i, j), x in zip(component, ints):
+            a, b = row_at[i], col_at[j]
+            grid[a][b] = (x + 1) * base - (1 << (bits - 1 - a * width - b))
+        for a in range(k):
+            grid[a][l + a] = (unmatched + 1) * base - (1 << (bits - 1 - a * width - l))
+        col_to_row = _jv(grid, k, l + k)
+        pairs += [(rows[col_to_row[b]], cols[b]) for b in range(l) if col_to_row[b] >= 0]
+
     pairs.sort()
     matched_rows = {i for i, _ in pairs}
     matched_cols = {j for _, j in pairs}
@@ -313,52 +298,51 @@ def solve_cost_limited(cost, max_cost: float) -> Assignment:
     )
 
 
-def _components(allowed: np.ndarray) -> list[tuple[list[int], list[int]]]:
-    """Connected components of the bipartite graph of allowed pairs, each as
-    sorted (rows, cols); rows and columns without an allowed pair are left out."""
-    seen = np.zeros(allowed.shape[0], dtype=bool)
-    components = []
-    for start in np.flatnonzero(allowed.any(axis=1)):
-        if seen[start]:
-            continue
-        rows = np.zeros_like(seen)
-        rows[start] = True
-        while True:
-            cols = allowed[rows].any(axis=0)
-            grown = allowed[:, cols].any(axis=1)
-            if (grown == rows).all():
-                break
-            rows = grown
-        seen |= rows
-        components.append(
-            ([int(i) for i in np.flatnonzero(rows)], [int(j) for j in np.flatnonzero(cols)])
-        )
-    return components
+def _components(
+    cells: list[tuple[int, int]], n_rows: int, n_cols: int
+) -> list[list[tuple[int, int]]]:
+    """Connected components of the bipartite graph of ``cells`` (allowed
+    (row, col) pairs), each as the list of its cells in the given order."""
+    parent = list(range(n_rows + n_cols))  # column j is node n_rows + j
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j in cells:
+        parent[root(n_rows + j)] = root(i)
+    components: dict[int, list[tuple[int, int]]] = {}
+    for cell in cells:
+        components.setdefault(root(cell[0]), []).append(cell)
+    return list(components.values())
 
 
-def _jv_square(a: list[list[int]], n: int) -> list[int]:
-    """Shortest-augmenting-path assignment on a dense square integer matrix.
+def _jv(a: list[list[int]], n: int, m: int) -> list[int]:
+    """Shortest-augmenting-path assignment on a dense n x m integer matrix, n <= m.
 
-    Returns col -> row of an optimal perfect matching.  Potentials and path
-    costs stay integers, so every comparison is exact.
+    Returns col -> row (-1 for a column left free) of an optimal matching that
+    covers every row.  Potentials and path costs stay integers, so every
+    comparison is exact.
     """
     inf = math.inf
     u = [0] * (n + 1)
-    v = [0] * (n + 1)
-    p = [0] * (n + 1)  # p[j]: row matched to column j, 1-based; 0 = free
-    way = [0] * (n + 1)
+    v = [0] * (m + 1)
+    p = [0] * (m + 1)  # p[j]: row matched to column j, 1-based; 0 = free
+    way = [0] * (m + 1)
     for i in range(1, n + 1):
         p[0] = i
         j0 = 0
-        minv = [inf] * (n + 1)
-        used = [False] * (n + 1)
+        minv = [inf] * (m + 1)
+        used = [False] * (m + 1)
         while True:
             used[j0] = True
             i0 = p[j0]
             delta = inf
             j1 = 0
             row = a[i0 - 1]
-            for j in range(1, n + 1):
+            for j in range(1, m + 1):
                 if used[j]:
                     continue
                 cur = row[j - 1] - u[i0] - v[j]
@@ -368,7 +352,7 @@ def _jv_square(a: list[list[int]], n: int) -> list[int]:
                 if minv[j] < delta:
                     delta = minv[j]
                     j1 = j
-            for j in range(n + 1):
+            for j in range(m + 1):
                 if used[j]:
                     u[p[j]] += delta
                     v[j] -= delta
@@ -381,4 +365,4 @@ def _jv_square(a: list[list[int]], n: int) -> list[int]:
             j1 = way[j0]
             p[j0] = p[j1]
             j0 = j1
-    return [p[j] - 1 for j in range(1, n + 1)]
+    return [p[j] - 1 for j in range(1, m + 1)]

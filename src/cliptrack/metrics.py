@@ -1,8 +1,11 @@
 """Association-focused tracking metrics: IDF1, MOTA, id switches, fragmentation.
 
 Tracks are frame-indexed box maps (track id -> {frame -> BoundingBox}).
-Per-frame correspondence is the optimal gated box matching; IDF1 additionally
-solves one global identity bijection maximizing total per-frame overlap.  MOTA
+Per-frame correspondence is the optimal gated box matching
+(``core.solve_assignment`` on ``1 - IoU``).  IDF1 additionally solves one
+global identity bijection maximizing total per-frame overlap: a cost-limited
+solve (``core.solve_cost_limited``) on ``-overlap`` over the positive overlaps,
+so identities joined by no overlap fall into separate solver components.  MOTA
 can be negative; the clamped value is reported alongside the raw one.
 """
 
@@ -13,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import BoundingBox, iou, solve_assignment
+from .core import BoundingBox, iou, solve_assignment, solve_cost_limited
 
 Tracks = dict[int, dict[int, BoundingBox]]
 
@@ -90,11 +93,16 @@ def _identity_overlap(gt: Tracks, pred: Tracks, gate: float) -> np.ndarray:
 
 
 def identity_bijection_overlap(gt: Tracks, pred: Tracks, gate: float) -> int:
-    """Total per-frame overlap of the optimal one-to-one identity mapping."""
+    """Total per-frame overlap of the optimal one-to-one identity mapping.
+
+    A cost-limited solve on ``-overlap`` with zero-overlap pairs forbidden:
+    every pair it takes gains, so it maximizes the total overlap, and the
+    solver splits identities joined by no overlap into separate components.
+    """
     if not gt or not pred:
         return 0
     overlap = _identity_overlap(gt, pred, gate)
-    assignment = solve_assignment((-overlap).astype(np.float64), 0.0)
+    assignment = solve_cost_limited(np.where(overlap > 0, -overlap, np.inf), 0.0)
     return int(sum(overlap[r, c] for r, c in assignment.pairs))
 
 

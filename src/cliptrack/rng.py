@@ -55,7 +55,26 @@ class SplitMix64:
         return mu + sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
     def gauss_vector(self, dim: int, sigma: float = 1.0) -> np.ndarray:
-        return np.array([self.gauss(0.0, sigma) for _ in range(dim)], dtype=np.float64)
+        """``dim`` draws of ``gauss(0.0, sigma)``, bit for bit.
+
+        The 2 * dim stream integers and the uniforms come from numpy
+        ``uint64``/``float64`` passes, exact because each uniform has 53 bits.
+        ``log`` and ``cos`` are taken one element at a time with ``math``, as
+        ``gauss`` takes them, because numpy's round differently on some inputs;
+        ``sqrt`` and the products are correctly rounded in both, in the same order.
+        """
+        z = np.arange(1, 2 * dim + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self._state)
+        self._state = (self._state + 2 * dim * _GAMMA) & _MASK
+        for shift, mix in ((30, _MIX1), (27, _MIX2)):
+            z ^= z >> np.uint64(shift)
+            z *= np.uint64(mix)
+        z ^= z >> np.uint64(31)
+        z >>= np.uint64(11)
+        log_u1 = np.fromiter(map(math.log, (z[0::2] + np.uint64(1)) * 2.0**-53), np.float64, dim)
+        cos_u2 = np.fromiter(map(math.cos, 2.0 * math.pi * (z[1::2] * 2.0**-53)), np.float64, dim)
+        return 0.0 + sigma * np.sqrt(-2.0 * log_u1) * cos_u2
 
 
 def unit_vector(rng: SplitMix64, dim: int) -> np.ndarray:

@@ -371,20 +371,6 @@ def _proposals_in_band(rng: SplitMix64, gt_box: BoundingBox, band: tuple[float, 
     raise ValueError(f"IoU band {band} unreachable after {cap} attempts")
 
 
-def jittered_proposals(
-    gt: GroundTruth, identity: int, frame: int, band: tuple[float, float], count: int, seed: int
-) -> list[tuple[BoundingBox, float]]:
-    """Rejection-sample boxes whose IoU against the identity's GT box is in band."""
-    lo, hi = band
-    if not (0.0 < lo <= hi <= 1.0):
-        raise ValueError("IoU band must lie within (0, 1]")
-    gt_box = gt.trajectories[identity].get(frame)
-    if gt_box is None:
-        raise ValueError(f"identity {identity} has no ground truth at frame {frame}")
-    draws = _proposals_in_band(SplitMix64(seed), gt_box, band, 4000 * max(count, 1))
-    return list(itertools.islice(draws, count))
-
-
 @dataclass(frozen=True, eq=False)
 class Proposal:
     identity: int

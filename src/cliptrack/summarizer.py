@@ -201,20 +201,14 @@ def init_weights(cfg: SummarizerConfig, seed: int) -> SummarizerWeights:
 
     rng = SplitMix64(seed)
 
-    def matrix(shape):
-        scale = 1.0 / math.sqrt(shape[0])
-        return np.array(
-            [[rng.gauss(0.0, scale) for _ in range(shape[1])] for _ in range(shape[0])]
-        )
-
     arrays = []
     for shape in _array_shapes(cfg):
         if len(shape) == 2:
-            arrays.append(matrix(shape))
+            arrays.append(rng.gauss_vector(math.prod(shape), 1.0 / math.sqrt(shape[0])).reshape(shape))
         else:
             arrays.append(np.zeros(shape))
     w = _assemble(cfg, arrays)
-    w.token[:] = [rng.gauss(0.0, 1.0 / math.sqrt(cfg.model_dim)) for _ in range(cfg.model_dim)]
+    w.token[:] = rng.gauss_vector(cfg.model_dim, 1.0 / math.sqrt(cfg.model_dim))
     for layer in w.layers:
         layer.ln1_g[:] = 1.0
         layer.ln2_g[:] = 1.0

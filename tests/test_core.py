@@ -180,6 +180,19 @@ class TestSolveAssignment:
         (pairs, _) = brute_force_assignment([[0.0, 9.0], [9.0, 9.0]], 100.0)
         assert got.pairs == pairs
 
+    @pytest.mark.parametrize(
+        "cost, pairs",
+        [
+            ([[0.0, 0.0], [0.0, math.inf]], ((0, 1), (1, 0))),
+            ([[0.0, 0.5], [0.5, math.inf]], ((0, 1), (1, 0))),
+            ([[0.0, 0.75, math.inf], [math.inf, 0.0, 0.75], [0.75, math.inf, math.inf]], ((0, 1), (1, 2), (2, 0))),
+        ],
+    )
+    def test_extra_pair_pays_at_any_cost(self, cost, pairs):
+        # Each extra pair here costs at least as much as the cheaper, smaller
+        # matching saves; cardinality still comes first.
+        assert solve_assignment(cost, 10.0).pairs == pairs == brute_force_assignment(cost, 10.0)[0]
+
     def test_lexicographic_tie_break(self):
         got = solve_assignment(np.zeros((2, 2)), 1.0)
         assert got.pairs == ((0, 0), (1, 1))
@@ -273,3 +286,47 @@ class TestSolveCostLimited:
         got = solve_cost_limited(cost, 0.5)
         pairs, _ = brute_force_cost_limited(cost, 0.5)
         assert got.pairs == pairs
+
+
+class TestComponentIndependence:
+    """Beyond brute-force sizes: a block-diagonal matrix (rows and columns
+    interleaved by a seeded permutation) must solve to the union of its blocks,
+    each block checked against exhaustive search."""
+
+    @staticmethod
+    def blocks(seed):
+        rng = SplitMix64(seed)
+        sizes = [(1 + rng.randint(6), 1 + rng.randint(6)) for _ in range(6)]
+        n, m = sum(k for k, _ in sizes), sum(l for _, l in sizes)
+        row_perm = sorted(range(n), key=lambda _: rng.uniform())
+        col_perm = sorted(range(m), key=lambda _: rng.uniform())
+        cost = np.full((n, m), math.inf)
+        blocks = []
+        r0 = c0 = 0
+        for k, l in sizes:
+            rows = sorted(row_perm[r0 : r0 + k])
+            cols = sorted(col_perm[c0 : c0 + l])
+            for i in rows:
+                for j in cols:
+                    cost[i, j] = [0.0, 0.25, 0.5, 0.75, 1.0][rng.randint(5)]
+            blocks.append((rows, cols))
+            r0, c0 = r0 + k, c0 + l
+        return cost, blocks
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "solver, oracle, max_cost",
+        [(solve_assignment, brute_force_assignment, 0.75), (solve_cost_limited, brute_force_cost_limited, 0.5)],
+    )
+    def test_union_of_blocks(self, seed, solver, oracle, max_cost):
+        cost, blocks = self.blocks(seed)
+        want = []
+        for rows, cols in blocks:
+            block = cost[np.ix_(rows, cols)]
+            pairs = solver(block, max_cost).pairs
+            assert pairs == oracle(block, max_cost)[0]
+            want += [(rows[i], cols[j]) for i, j in pairs]
+        got = solver(cost, max_cost)
+        assert got.pairs == tuple(sorted(want))
+        assert sorted(got.unmatched_rows + tuple(i for i, _ in want)) == list(range(cost.shape[0]))
+

@@ -103,3 +103,26 @@ class TestIdentityBijection:
                     if f in pred[pi] and box.as_tuple() == pred[pi][f].as_tuple()
                 )
         assert got == best_identity_bijection_overlap(overlap)
+
+    def test_sparse_fragmented_known_total(self):
+        # 20 identities over 190 frames, each cut into 19 predicted fragments of
+        # 1..19 frames; pairs of identities are joined by one short switching
+        # track, and 10 tracks overlap nothing: 20 x 400, one component per pair.
+        # IDTP is at most the sum of each identity's best overlap (19), and the
+        # row maxima sit in distinct columns, so IDTP = 20 * 19.
+        gt = {g: straight_track(0, 190, y0=80.0 * g) for g in range(20)}
+        pred = {}
+        for g in range(20):
+            start = 0
+            for length in range(1, 20):
+                pred[len(pred)] = {f: gt[g][f] for f in range(start, start + length)}
+                start += length
+        for g in range(0, 20, 2):
+            switch = {f: gt[g][f] for f in range(0, 3)}
+            switch.update({f: gt[g + 1][f] for f in range(3, 7)})
+            pred[len(pred)] = switch
+        for _ in range(10):
+            pred[len(pred)] = straight_track(0, 5, y0=-1000.0)
+        assert len(pred) == 400
+        assert identity_bijection_overlap(gt, pred, 0.5) == 20 * 19
+

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from cliptrack.rng import SplitMix64, unit_vector
 
@@ -43,3 +44,17 @@ def test_unit_vector_norm():
     for _ in range(20):
         v = unit_vector(rng, 16)
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 3])
+@pytest.mark.parametrize("dim", [0, 1, 2, 31, 512])
+def test_gauss_vector_is_per_element_gauss(seed, dim):
+    # The vector's integer stream is computed in one numpy pass; its values and
+    # the generator state it leaves must equal dim scalar draws bit for bit.
+    a, b = SplitMix64(seed), SplitMix64(seed)
+    sigma = 0.37
+    got = a.gauss_vector(dim, sigma)
+    want = np.array([b.gauss(0.0, sigma) for _ in range(dim)], dtype=np.float64)
+    assert got.dtype == np.float64 and got.shape == (dim,)
+    assert got.tobytes() == want.tobytes()
+    assert a.next_u64() == b.next_u64()

@@ -9,7 +9,6 @@ from cliptrack.scenario import (
     ScenarioConfig,
     build_proposal_pool,
     generate,
-    jittered_proposals,
     scenario_from_json,
     scenario_to_json,
 )
@@ -108,37 +107,6 @@ class TestGenerate:
         assert cos_gap == pytest.approx(np.cos(0.02 * 29), abs=1e-9)
 
 
-class TestJitteredProposals:
-    def test_degenerate_band_returns_gt(self):
-        gt, _ = generate(noiseless_config())
-        out = jittered_proposals(gt, 0, 3, (1.0, 1.0), 5, seed=1)
-        assert len(out) == 5
-        assert all(b.as_tuple() == gt.trajectories[0][3].as_tuple() for b, _ in out)
-        assert all(q == 1.0 for _, q in out)
-
-    def test_negative_band_realized(self):
-        gt, _ = generate(noiseless_config())
-        out = jittered_proposals(gt, 1, 0, (0.3, 0.5), 100, seed=2)
-        assert len(out) == 100
-        assert all(0.3 <= q < 0.5 for _, q in out)
-
-    def test_recomputed_iou_matches_stored(self):
-        gt, _ = generate(noiseless_config())
-        for box, q in jittered_proposals(gt, 2, 7, (0.3, 0.5), 20, seed=3):
-            assert iou(box, gt.trajectories[2][7]) == q
-
-    def test_unreachable_band_errors(self):
-        gt, _ = generate(noiseless_config())
-        with pytest.raises(ValueError):
-            jittered_proposals(gt, 0, 0, (0.999999999, 0.9999999995), 3, seed=4)
-
-    def test_occluded_frame_errors(self):
-        occ = Interruption("occlusion", 0, 5, (0,))
-        gt, _ = generate(noiseless_config(interruptions=(occ,)))
-        with pytest.raises(ValueError):
-            jittered_proposals(gt, 0, 2, (0.3, 0.5), 1, seed=5)
-
-
 class TestProposalPool:
     def test_draw_order_pinned(self):
         # Boxes, IoUs and embeddings share one stream; any change to its draw
@@ -173,6 +141,21 @@ class TestProposalPool:
                 [float(np.dot(p.embedding, gt.latent_at(identity, p.frame))) for p in pool.negatives[identity]]
             )
             assert pos_sim > neg_sim
+
+    def test_gt_band_gives_gt_boxes_and_ious_recompute(self):
+        gt, _ = generate(noiseless_config(frames=6, identities=2))
+        pool = build_proposal_pool(gt, positive_iou=1.0, per_frame=2, seed=3)
+        for identity in range(2):
+            for p in pool.positives[identity]:
+                assert p.box.as_tuple() == gt.trajectories[identity][p.frame].as_tuple()
+                assert p.iou == 1.0
+            for p in pool.negatives[identity]:
+                assert iou(p.box, gt.trajectories[identity][p.frame]) == p.iou
+
+    def test_unreachable_band_errors(self):
+        gt, _ = generate(noiseless_config(frames=2, identities=1))
+        with pytest.raises(ValueError, match="unreachable"):
+            build_proposal_pool(gt, negative_band=(0.999999999, 0.9999999995), per_frame=1, seed=4)
 
 
 class TestJsonRoundTrip:
