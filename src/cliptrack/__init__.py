@@ -10,7 +10,6 @@ from .core import (
     GlobalTrack,
     Tracklet,
     bisoftmax_affinity,
-    cosine_similarity,
     iou,
     solve_assignment,
 )

@@ -202,8 +202,9 @@ def gt_to_global_tracks(gt_tracks: Tracks) -> list[GlobalTrack]:
 # --- key=value config files ----------------------------------------------------
 
 
-def read_kv(path) -> dict[str, str]:
-    out: dict[str, str] = {}
+def read_kv(path) -> dict[str, tuple[int, str]]:
+    """``key = value`` lines as key -> (line number, value); ``#`` starts a comment."""
+    out: dict[str, tuple[int, str]] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -214,7 +215,7 @@ def read_kv(path) -> dict[str, str]:
             key, value = (part.strip() for part in line.split("=", 1))
             if key in out:
                 raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-            out[key] = value
+            out[key] = (lineno, value)
     return out
 
 
@@ -233,52 +234,45 @@ def _parse_interruptions(text: str) -> tuple[Interruption, ...]:
     return tuple(entries)
 
 
-def _coerce(name: str, value: str, typ):
-    if typ in ("int", int):
-        return int(value)
-    if typ in ("float", float):
-        return float(value)
-    if typ in ("bool", bool):
-        lowered = value.lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"{name}: expected a boolean, got {value!r}")
-    return value
+def _parse_value(path, entry: tuple[int, str], key: str, parse):
+    """``parse`` of an entry's value; a bad value names the key and its ``file:line``."""
+    lineno, value = entry
+    try:
+        return parse(value)
+    except ValueError as err:
+        raise ValueError(f"{path}:{lineno}: {key}: {err}") from None
 
 
-def _build_from_kv(cls, kv: dict[str, str], special=None, optional_ints=()):
+def _build_from_kv(cls, path, kv: dict[str, tuple[int, str]], special=None):
     known = {f.name: f for f in fields(cls)}
     special = special or {}
     kwargs = {}
-    for key, value in kv.items():
+    for key, entry in kv.items():
         if key in special:
-            kwargs[key] = special[key](value)
-            continue
-        if key not in known:
-            raise ValueError(f"unknown {cls.__name__} key {key!r}")
-        if key in optional_ints:
-            kwargs[key] = None if value.lower() in ("", "none") else int(value)
-            continue
-        typ = known[key].type
-        base = {"int": int, "float": float, "bool": bool, "str": str}.get(str(typ), str)
-        kwargs[key] = _coerce(key, value, base)
+            parse = special[key]
+        elif key not in known:
+            raise ValueError(f"{path}:{entry[0]}: unknown {cls.__name__} key {key!r}")
+        else:
+            parse = {"int": int, "float": float}.get(str(known[key].type), str)
+        kwargs[key] = _parse_value(path, entry, key, parse)
     return cls(**kwargs)
 
 
 def scenario_config_from_file(path) -> ScenarioConfig:
     kv = read_kv(path)
-    return _build_from_kv(ScenarioConfig, kv, special={"interruptions": _parse_interruptions})
+    return _build_from_kv(ScenarioConfig, path, kv, special={"interruptions": _parse_interruptions})
 
 
 def pipeline_config_from_file(path) -> PipelineConfig:
     kv = read_kv(path)
     return _build_from_kv(
         PipelineConfig,
+        path,
         kv,
-        special={"weights_path": lambda v: None if v.lower() in ("", "none") else v},
-        optional_ints=("patience",),
+        special={
+            "weights_path": lambda v: None if v.lower() in ("", "none") else v,
+            "patience": lambda v: None if v.lower() in ("", "none") else int(v),
+        },
     )
 
 
@@ -300,14 +294,14 @@ def train_setup_from_file(path):
     model = {"model_dim": 64, "n_layers": 3, "n_heads": 8, "ffn_dim": 0, "n_videos": 6, "pool_per_frame": 2}
     aug_raw = {}
     train_kv = {}
-    for key, value in kv.items():
+    for key, entry in kv.items():
         if key in TRAIN_FILE_EXTRAS:
-            model[key] = int(value)
+            model[key] = _parse_value(path, entry, key, int)
         elif key in AUG_KEYS:
-            aug_raw[key] = _coerce(key, value, AUG_KEYS[key])
+            aug_raw[key] = _parse_value(path, entry, key, AUG_KEYS[key])
         else:
-            train_kv[key] = value
-    train_cfg = _build_from_kv(TrainConfig, train_kv)
+            train_kv[key] = entry
+    train_cfg = _build_from_kv(TrainConfig, path, train_kv)
     aug = AugmentConfig(
         positive_iou=aug_raw.get("positive_iou", 0.7),
         negative_band=(aug_raw.get("negative_low", 0.3), aug_raw.get("negative_high", 0.5)),

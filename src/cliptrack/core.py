@@ -158,18 +158,6 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / (area_a + area_b - inter)
 
 
-def cosine_similarity(a: Embedding, b: Embedding) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine similarity undefined for zero-norm embedding")
-    return float(np.dot(a, b)) / (na * nb)
-
-
 def bisoftmax_affinity(
     queries: Sequence[Embedding], refs: Sequence[Embedding], temperature: float = 0.1
 ) -> np.ndarray:

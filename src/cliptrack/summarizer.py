@@ -14,6 +14,10 @@ the one-track case): the rows of a pack's tracks are stacked for every
 row-wise layer, and attention runs once per bucket of equal-length tracks.  A
 track's summary is bit-identical whatever it is packed with.
 
+The parameters live in one float64 vector, ``SummarizerWeights.flat``, laid
+out once by ``_layout``; every named parameter is a view into it.  Gradients,
+the SGD step and the weights file all use that same vector.
+
 Everything is float64 numpy.  Gradients are exact analytic derivatives of the
 multi-positive contrastive objective
 
@@ -32,6 +36,7 @@ import itertools
 import math
 import struct
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -47,15 +52,6 @@ _PACK_ROWS = 256
 
 WEIGHTS_MAGIC = b"CTSUMRZ1"
 WEIGHTS_VERSION = 1
-
-# Field order is the serialization order and the flatten order; do not reorder.
-LAYER_FIELDS = (
-    "ln1_g", "ln1_b",
-    "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-    "ln2_g", "ln2_b",
-    "w1", "b1", "w2", "b2",
-)
-HEAD_FIELDS = ("w_out", "b_out")
 
 
 @dataclass(frozen=True)
@@ -79,113 +75,61 @@ class SummarizerConfig:
         return self.model_dim // self.n_heads
 
 
-@dataclass
-class LayerWeights:
-    ln1_g: np.ndarray
-    ln1_b: np.ndarray
-    wq: np.ndarray
-    bq: np.ndarray
-    wk: np.ndarray
-    bk: np.ndarray
-    wv: np.ndarray
-    bv: np.ndarray
-    wo: np.ndarray
-    bo: np.ndarray
-    ln2_g: np.ndarray
-    ln2_b: np.ndarray
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-
-@dataclass
-class SummarizerWeights:
-    config: SummarizerConfig
-    w_in: np.ndarray
-    b_in: np.ndarray
-    token: np.ndarray
-    layers: list[LayerWeights]
-    w_out: np.ndarray
-    b_out: np.ndarray
-
-    def arrays(self):
-        """All parameter arrays in the fixed documented order."""
-        yield self.w_in
-        yield self.b_in
-        yield self.token
-        for layer in self.layers:
-            for name in LAYER_FIELDS:
-                yield getattr(layer, name)
-        for name in HEAD_FIELDS:
-            yield getattr(self, name)
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.arrays()])
-
-    def copy(self) -> "SummarizerWeights":
-        return _map_arrays(self, np.copy)
-
-    def zeros_like(self) -> "SummarizerWeights":
-        return _map_arrays(self, np.zeros_like)
-
-    @property
-    def n_params(self) -> int:
-        return sum(a.size for a in self.arrays())
-
-
-def _map_arrays(weights: SummarizerWeights, fn) -> SummarizerWeights:
-    layers = [
-        LayerWeights(**{name: fn(getattr(layer, name)) for name in LAYER_FIELDS})
-        for layer in weights.layers
+def _layout(cfg: SummarizerConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every parameter, in the order they take in the flat
+    vector and in a weights file; do not reorder.  ``layers.<i>.<field>`` is
+    field ``<field>`` of encoder layer ``i``."""
+    cm, f = cfg.model_dim, cfg.ffn_dim
+    layer = [
+        ("ln1_g", (cm,)), ("ln1_b", (cm,)),
+        ("wq", (cm, cm)), ("bq", (cm,)), ("wk", (cm, cm)), ("bk", (cm,)),
+        ("wv", (cm, cm)), ("bv", (cm,)), ("wo", (cm, cm)), ("bo", (cm,)),
+        ("ln2_g", (cm,)), ("ln2_b", (cm,)),
+        ("w1", (cm, f)), ("b1", (f,)), ("w2", (f, cm)), ("b2", (cm,)),
     ]
-    return SummarizerWeights(
-        weights.config,
-        fn(weights.w_in),
-        fn(weights.b_in),
-        fn(weights.token),
-        layers,
-        fn(weights.w_out),
-        fn(weights.b_out),
+    return (
+        [("w_in", (cfg.input_dim, cm)), ("b_in", (cm,)), ("token", (cm,))]
+        + [(f"layers.{i}.{name}", shape) for i in range(cfg.n_layers) for name, shape in layer]
+        + [("w_out", (cm, cm)), ("b_out", (cm,))]
     )
 
 
-def _array_shapes(cfg: SummarizerConfig) -> list[tuple[int, ...]]:
-    cm, f = cfg.model_dim, cfg.ffn_dim
-    shapes = [(cfg.input_dim, cm), (cm,), (cm,)]
-    layer = [
-        (cm,), (cm,),
-        (cm, cm), (cm,), (cm, cm), (cm,), (cm, cm), (cm,), (cm, cm), (cm,),
-        (cm,), (cm,),
-        (cm, f), (f,), (f, cm), (cm,),
-    ]
-    for _ in range(cfg.n_layers):
-        shapes.extend(layer)
-    shapes.extend([(cm, cm), (cm,)])
-    return shapes
+def _n_params(cfg: SummarizerConfig) -> int:
+    return sum(math.prod(shape) for _, shape in _layout(cfg))
+
+
+class SummarizerWeights:
+    """All parameters in one float64 vector ``flat``, laid out by ``_layout``.
+
+    ``w_in``, ``b_in``, ``token``, ``w_out``, ``b_out`` and each
+    ``layers[i].<field>`` are views into ``flat``: writing through one writes
+    ``flat``, and an in-place update of ``flat`` updates them all.
+    """
+
+    def __init__(self, config: SummarizerConfig, flat: np.ndarray):
+        n = _n_params(config)
+        if flat.shape != (n,):
+            raise ValueError(f"flat vector has {flat.size} entries, expected {n}")
+        self.config = config
+        self.flat = flat
+        self.layers = [SimpleNamespace() for _ in range(config.n_layers)]
+        pos = 0
+        for name, shape in _layout(config):
+            size = math.prod(shape)
+            *path, field = name.split(".")
+            owner = self.layers[int(path[1])] if path else self
+            setattr(owner, field, flat[pos : pos + size].reshape(shape))
+            pos += size
+
+    def flatten(self) -> np.ndarray:
+        return self.flat.copy()
+
+    def zeros_like(self) -> "SummarizerWeights":
+        return SummarizerWeights(self.config, np.zeros_like(self.flat))
 
 
 def weights_from_flat(cfg: SummarizerConfig, flat: np.ndarray) -> SummarizerWeights:
-    shapes = _array_shapes(cfg)
-    arrays = []
-    pos = 0
-    for shape in shapes:
-        size = math.prod(shape)
-        arrays.append(np.asarray(flat[pos : pos + size], dtype=np.float64).reshape(shape))
-        pos += size
-    if pos != flat.size:
-        raise ValueError(f"flat vector has {flat.size} entries, expected {pos}")
-    return _assemble(cfg, arrays)
-
-
-def _assemble(cfg: SummarizerConfig, arrays: list[np.ndarray]) -> SummarizerWeights:
-    it = iter(arrays)
-    w_in, b_in, token = next(it), next(it), next(it)
-    layers = []
-    for _ in range(cfg.n_layers):
-        layers.append(LayerWeights(**{name: next(it) for name in LAYER_FIELDS}))
-    w_out, b_out = next(it), next(it)
-    return SummarizerWeights(cfg, w_in, b_in, token, layers, w_out, b_out)
+    return SummarizerWeights(cfg, np.ascontiguousarray(flat, dtype=np.float64))
 
 
 def init_weights(cfg: SummarizerConfig, seed: int) -> SummarizerWeights:
@@ -200,14 +144,12 @@ def init_weights(cfg: SummarizerConfig, seed: int) -> SummarizerWeights:
     from .rng import SplitMix64
 
     rng = SplitMix64(seed)
-
-    arrays = []
-    for shape in _array_shapes(cfg):
-        if len(shape) == 2:
-            arrays.append(rng.gauss_vector(math.prod(shape), 1.0 / math.sqrt(shape[0])).reshape(shape))
-        else:
-            arrays.append(np.zeros(shape))
-    w = _assemble(cfg, arrays)
+    flat = np.concatenate([
+        rng.gauss_vector(math.prod(shape), 1.0 / math.sqrt(shape[0]))
+        if len(shape) == 2 else np.zeros(math.prod(shape))
+        for _, shape in _layout(cfg)
+    ])
+    w = SummarizerWeights(cfg, flat)
     w.token[:] = rng.gauss_vector(cfg.model_dim, 1.0 / math.sqrt(cfg.model_dim))
     for layer in w.layers:
         layer.ln1_g[:] = 1.0
@@ -613,8 +555,7 @@ def save_weights(weights: SummarizerWeights, path) -> None:
                 cfg.n_heads, cfg.ffn_dim,
             )
         )
-        for a in weights.arrays():
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        fh.write(weights.flat.astype("<f8").tobytes())
 
 
 def load_weights(path) -> SummarizerWeights:
@@ -626,13 +567,10 @@ def load_weights(path) -> SummarizerWeights:
         if version != WEIGHTS_VERSION:
             raise ValueError(f"unsupported weights version {version}")
         cfg = SummarizerConfig(c_in, cm, n_layers, n_heads, ffn)
-        arrays = []
-        for shape in _array_shapes(cfg):
-            size = math.prod(shape)
-            buf = fh.read(8 * size)
-            if len(buf) != 8 * size:
-                raise ValueError("truncated weights file")
-            arrays.append(np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape))
+        size = 8 * _n_params(cfg)
+        buf = fh.read(size)
+        if len(buf) != size:
+            raise ValueError("truncated weights file")
         if fh.read(1):
             raise ValueError("trailing bytes in weights file")
-    return _assemble(cfg, arrays)
+    return SummarizerWeights(cfg, np.frombuffer(buf, dtype="<f8").astype(np.float64))

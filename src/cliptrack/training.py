@@ -94,9 +94,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
-        for name in ("epochs", "steps_per_epoch", "videos_per_batch", "tracks_per_video"):
+        for name in (
+            "epochs", "steps_per_epoch", "videos_per_batch", "tracks_per_video",
+            "sample_span", "group_size",
+        ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.frame_window < 0:
+            raise ValueError("frame_window must be >= 0 (0 disables windowing)")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
         if not self.loss_temperature > 0.0:
@@ -347,7 +352,8 @@ def train(
         sample_source = lambda _seed: fixed  # noqa: E731
 
     weights = init_weights(model_cfg, cfg.seed if init_seed is None else init_seed)
-    velocity = weights.zeros_like()
+    velocity = np.zeros_like(weights.flat)
+    step = np.empty_like(weights.flat)  # lr * velocity, without a temporary per step
     schedule = SplitMix64(cfg.seed ^ 0xB10C5EED)
 
     history: list[float] = []
@@ -358,10 +364,9 @@ def train(
             grads, loss = gradient(weights, batch, loss_temperature=cfg.loss_temperature)
             if not math.isfinite(loss):
                 raise ValueError(f"training diverged at epoch {epoch}: loss is not finite")
-            for w, g, v in zip(weights.arrays(), grads.arrays(), velocity.arrays()):
-                v *= cfg.momentum
-                v += g
-                w -= cfg.learning_rate * v
+            velocity *= cfg.momentum
+            velocity += grads.flat
+            weights.flat -= np.multiply(velocity, cfg.learning_rate, out=step)
             epoch_losses.append(loss)
         history.append(float(np.mean(epoch_losses)))
     return weights, history

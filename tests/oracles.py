@@ -1,9 +1,7 @@
 """Independent brute-force references the test suite checks the library against.
 
 Everything here is written for clarity over speed and deliberately avoids the
-library's own algorithmic code paths (only shared primitives like cosine
-similarity are reused where the contract says both sides must use identical
-arithmetic).
+library's own algorithmic code paths.
 """
 
 from __future__ import annotations
@@ -14,7 +12,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from cliptrack.core import cosine_similarity
+
+def cosine_similarity(a, b) -> float:
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    if na == 0.0 or nb == 0.0:
+        raise ValueError("cosine similarity undefined for zero-norm embedding")
+    return float(np.dot(a, b)) / (na * nb)
 
 
 def brute_force_assignment(cost, max_cost):

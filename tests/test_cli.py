@@ -353,6 +353,7 @@ class TestExitCodes:
             ("loss_temperature = 0", "loss_temperature"),
             ("scattered_mixup = true", "scattered_mixup"),
             ("deterministic = true", "deterministic"),
+            ("group_size = 0", "group_size"),
         ],
     )
     def test_bad_train_key_is_data_error(self, tmp_path, capsys, line, field):
@@ -366,6 +367,33 @@ class TestExitCodes:
         )
         assert code == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "which, line, key",
+        [
+            ("scenario", "frames = abc", "frames"),
+            ("scenario", "interruptions = occlusion:1:2", "interruptions"),
+            ("train", "model_dim = x", "model_dim"),
+            ("train", "epochs = 1.5", "epochs"),
+            ("train", "mixup_bound = lots", "mixup_bound"),
+            ("train", "nonsense = 1", "nonsense"),
+        ],
+    )
+    def test_bad_config_value_names_key_and_line(self, tmp_path, capsys, which, line, key):
+        scen_cfg = tmp_path / "scenario.cfg"
+        scen_cfg.write_text("identities = 3\nembedding_dim = 8\n")
+        train_cfg = tmp_path / "train.cfg"
+        train_cfg.write_text("steps_per_epoch = 1\n")
+        bad = scen_cfg if which == "scenario" else train_cfg
+        bad.write_text(bad.read_text() + f"# comment\n{line}\n")
+        lineno = bad.read_text().count("\n")
+        code = main(
+            ["train", "--scenario-config", str(scen_cfg), "--out-weights",
+             str(tmp_path / "w.bin"), "--train-config", str(train_cfg)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:{lineno}:" in err and key in err
 
 
 class TestTrackFileParsing:

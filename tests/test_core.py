@@ -11,14 +11,13 @@ from cliptrack.core import (
     Detection,
     Tracklet,
     bisoftmax_affinity,
-    cosine_similarity,
     iou,
     solve_assignment,
     solve_cost_limited,
 )
 from cliptrack.rng import SplitMix64
 
-from .oracles import brute_force_assignment, brute_force_cost_limited
+from .oracles import brute_force_assignment, brute_force_cost_limited, cosine_similarity
 
 
 def box(x, y, w, h):

@@ -9,7 +9,6 @@ from cliptrack.core import (
     BoundingBox,
     Detection,
     Tracklet,
-    cosine_similarity,
     solve_assignment,
 )
 from cliptrack import inter_clip
@@ -27,6 +26,8 @@ from cliptrack.summarizer import (
     l2_normalize,
     weights_from_flat,
 )
+
+from .oracles import cosine_similarity
 
 E1 = np.array([1.0, 0.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0, 0.0])
@@ -268,7 +269,7 @@ class TestMatchClipTracker:
     def test_cost_matrix_equals_per_track_reference(self, monkeypatch, management):
         cfg = self.WEIGHTS.config
         rng = SplitMix64(19)
-        weights = weights_from_flat(cfg, 0.5 * rng.gauss_vector(self.WEIGHTS.n_params))
+        weights = weights_from_flat(cfg, 0.5 * rng.gauss_vector(self.WEIGHTS.flat.size))
         lengths = [1, 3, 3, 5, 12, 2]
         old = [
             tracklet(i, [det(f, unit_vector(rng, 4), source=i) for f in range(n)], (0, 11))

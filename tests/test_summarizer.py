@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -86,7 +87,30 @@ class TestForwardSummarize:
 def random_weights(cfg, seed):
     """Every parameter drawn at random, so attention is far from uniform."""
     rng = SplitMix64(seed)
-    return weights_from_flat(cfg, 0.5 * rng.gauss_vector(init_weights(cfg, 0).n_params))
+    return weights_from_flat(cfg, 0.5 * rng.gauss_vector(init_weights(cfg, 0).flat.size))
+
+
+class TestParameterLayout:
+    def test_named_parameters_are_views_of_flat(self):
+        w = init_weights(SMALL, 0)
+        before = w.flat.copy()
+        w.layers[0].wq[1, 2] = 5.0
+        changed = np.flatnonzero(w.flat != before)
+        assert changed.size == 1 and w.flat[changed[0]] == 5.0
+        w.flat[:] = 0.0
+        assert not w.w_in.any() and not w.layers[1].b2.any() and not w.b_out.any()
+
+    def test_flatten_is_a_copy_and_round_trips(self):
+        w = init_weights(SMALL, 0)
+        flat = w.flatten()
+        flat[:] = 0.0
+        assert w.flat.any()
+        assert np.array_equal(weights_from_flat(SMALL, w.flatten()).flat, w.flat)
+
+    def test_wrong_size_rejected(self):
+        w = init_weights(SMALL, 0)
+        with pytest.raises(ValueError, match="entries"):
+            weights_from_flat(SMALL, w.flat[:-1])
 
 
 class TestSummarizeTracks:
@@ -239,8 +263,7 @@ class TestGradient:
         g1, l1 = gradient(w, batch)
         g2, l2 = gradient(w, batch)
         assert l1 == l2
-        for a, b in zip(g1.arrays(), g2.arrays()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(g1.flat, g2.flat)
 
     def test_identical_summaries_equal_dot_loss(self):
         w = init_weights(SMALL, 41)
@@ -279,8 +302,33 @@ class TestSerialization:
         save_weights(w, path)
         loaded = load_weights(path)
         assert loaded.config == w.config
-        for a, b in zip(w.arrays(), loaded.arrays()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(w.flat, loaded.flat)
+
+    @pytest.mark.parametrize(
+        "cfg, digest",
+        [
+            (SummarizerConfig(16), "e914943e34d95e4e919ba422e8361ed47bf713fd5acbae29280f9b1a02016b1e"),
+            (
+                SummarizerConfig(4, 8, 2, 2),
+                "565650db2d0a997490cffdc809c15389c267ca595068633d212bfe9d96aee591",
+            ),
+        ],
+        ids=["default", "small"],
+    )
+    def test_file_bytes_pinned(self, tmp_path, cfg, digest):
+        """The file format and the parameter order (``_layout``) stay fixed."""
+        path = tmp_path / "weights.bin"
+        save_weights(init_weights(cfg, 7), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("cut, match", [(-8, "truncated"), (None, "trailing")])
+    def test_bad_length_rejected(self, tmp_path, cut, match):
+        path = tmp_path / "weights.bin"
+        save_weights(init_weights(SMALL, 7), path)
+        data = path.read_bytes()
+        path.write_bytes(data[:cut] if cut else data + b"\x00")
+        with pytest.raises(ValueError, match=match):
+            load_weights(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
