@@ -195,7 +195,7 @@ def gt_to_global_tracks(gt_tracks: Tracks) -> list[GlobalTrack]:
         entries = [
             Detection(f, box, 1.0, np.zeros(2), 0) for f, box in sorted(gt_tracks[identity].items())
         ]
-        out.append(GlobalTrack(id=identity + 1, entries=entries, last_frame=entries[-1].frame))
+        out.append(GlobalTrack(id=identity + 1, entries=entries))
     return out
 
 
@@ -563,3 +563,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

@@ -107,16 +107,48 @@ class Tracklet:
 class GlobalTrack:
     """Video-level track with a bounded buffer of recent embeddings.
 
-    ``embedding_buffer`` holds (frame, embedding) for the most recent frames;
-    ``last_added`` holds the embeddings appended by the most recent merge that
-    added at least one new frame (the two-clip history view).
+    ``extend`` (append newer detections) and ``absorb`` (fold another track in)
+    are the only writers of ``entries``, ``embedding_buffer`` and
+    ``last_added``.  The last two are derived: ``embedding_buffer`` holds
+    (frame, embedding) of the last ``buffer_size`` entries, ``last_added`` the
+    embeddings appended by the latest nonempty ``extend`` (the two-clip history
+    view); ``absorb`` keeps those of the track that ends later.  ``last_frame``
+    is read from ``entries``.
     """
 
     id: int
     entries: list[Detection] = field(default_factory=list)
     embedding_buffer: list[tuple[int, Embedding]] = field(default_factory=list)
-    last_frame: int = -1
     last_added: list[Embedding] = field(default_factory=list)
+
+    @property
+    def last_frame(self) -> int:
+        return self.entries[-1].frame if self.entries else -1
+
+    def extend(self, detections: list[Detection], buffer_size: int) -> None:
+        """Append ``detections``, in frame order and beyond ``last_frame``.
+
+        An empty list changes nothing, ``last_added`` included."""
+        if not detections:
+            return
+        self.entries.extend(detections)
+        self.last_added = [d.embedding for d in detections]
+        self._rebuffer(buffer_size)
+
+    def absorb(self, other: "GlobalTrack", buffer_size: int) -> list[Detection]:
+        """Fold ``other``'s entries in; on a frame both hold, this track's stays.
+
+        Returns the entries of ``other`` that were dropped."""
+        kept = {d.frame: d for d in self.entries}
+        dropped = [d for d in other.entries if kept.setdefault(d.frame, d) is not d]
+        if other.last_frame > self.last_frame:
+            self.last_added = other.last_added
+        self.entries = [kept[f] for f in sorted(kept)]
+        self._rebuffer(buffer_size)
+        return dropped
+
+    def _rebuffer(self, buffer_size: int) -> None:
+        self.embedding_buffer = [(d.frame, d.embedding) for d in self.entries[-buffer_size:]]
 
     def frames(self) -> list[int]:
         return [d.frame for d in self.entries]

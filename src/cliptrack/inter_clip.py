@@ -198,13 +198,19 @@ def merge(
         track = rows[r]
         held_by = {store.owner.get(detection_key(d)) for d in tracklets[c].entries}
         for other_id in sorted(held_by - matched_ids - {None}):
-            _fold(store, track, store.tracks.pop(other_id))
+            other = store.tracks.pop(other_id)
+            dropped = track.absorb(other, store.buffer_size)
+            store.owner.update((detection_key(d), track.id) for d in other.entries)
+            for d in dropped:
+                del store.owner[detection_key(d)]
+        last_frame = track.last_frame
         fresh = [
             d
             for d in tracklets[c].entries
-            if d.frame > track.last_frame and detection_key(d) not in store.owner
+            if d.frame > last_frame and detection_key(d) not in store.owner
         ]
-        _append(store, track, fresh)
+        track.extend(fresh, store.buffer_size)
+        store.owner.update((detection_key(d), track.id) for d in fresh)
     for c in assignment.unmatched_cols:
         fresh = [d for d in tracklets[c].entries if detection_key(d) not in store.owner]
         if not fresh:
@@ -212,35 +218,6 @@ def merge(
         track = GlobalTrack(id=store.next_id)
         store.next_id += 1
         store.tracks[track.id] = track
-        _append(store, track, fresh)
+        track.extend(fresh, store.buffer_size)
+        store.owner.update((detection_key(d), track.id) for d in fresh)
     return store
-
-
-def _append(store: GlobalTrackStore, track: GlobalTrack, fresh: list[Detection]) -> None:
-    if not fresh:
-        return
-    track.entries.extend(fresh)
-    track.last_frame = fresh[-1].frame
-    track.embedding_buffer.extend((d.frame, d.embedding) for d in fresh)
-    if len(track.embedding_buffer) > store.buffer_size:
-        del track.embedding_buffer[: len(track.embedding_buffer) - store.buffer_size]
-    track.last_added = [d.embedding for d in fresh]
-    for d in fresh:
-        store.owner[detection_key(d)] = track.id
-
-
-def _fold(store: GlobalTrackStore, track: GlobalTrack, other: GlobalTrack) -> None:
-    """Move ``other``'s entries into ``track``; on a frame both hold, ``track``'s stays."""
-    kept = {d.frame: d for d in track.entries}
-    for d in other.entries:
-        if kept.setdefault(d.frame, d) is d:
-            store.owner[detection_key(d)] = track.id
-        else:
-            del store.owner[detection_key(d)]
-    if other.last_frame > track.last_frame:
-        track.last_added = other.last_added
-    track.entries = [kept[f] for f in sorted(kept)]
-    track.last_frame = track.entries[-1].frame
-    track.embedding_buffer = [
-        (d.frame, d.embedding) for d in track.entries[-store.buffer_size :]
-    ]

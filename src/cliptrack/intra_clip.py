@@ -20,7 +20,6 @@ import numpy as np
 
 from .core import (
     Detection,
-    Embedding,
     Tracklet,
     bisoftmax_affinity,
     solve_assignment,
@@ -53,7 +52,6 @@ class Clip:
 class _OpenTrack:
     local_id: int
     entries: list[Detection]
-    embedding: Embedding
     misses: int = 0
 
 
@@ -85,7 +83,7 @@ def associate_directional(
         matched_dets: set[int] = set()
         if open_tracks and dets:
             affinity = bisoftmax_affinity(
-                [t.embedding for t in open_tracks],
+                [t.entries[-1].embedding for t in open_tracks],
                 [d.embedding for d in dets],
                 temperature,
             )
@@ -94,7 +92,6 @@ def associate_directional(
                 track = open_tracks[r]
                 det = dets[c]
                 track.entries.append(det)
-                track.embedding = det.embedding
                 track.misses = 0
                 matched_tracks.add(r)
                 matched_dets.add(c)
@@ -114,7 +111,7 @@ def associate_directional(
         for c, det in enumerate(dets):
             if c in matched_dets:
                 continue
-            open_tracks.append(_OpenTrack(next_local, [det], det.embedding))
+            open_tracks.append(_OpenTrack(next_local, [det]))
             next_local += 1
 
     done.extend(open_tracks)

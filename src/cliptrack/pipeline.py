@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, replace
 
-import numpy as np
-
 from .core import Assignment, Detection, GlobalTrack, solve_cost_limited
 from .inter_clip import (
     MANAGEMENT_STRATEGIES,
@@ -151,32 +149,27 @@ def frame_by_frame_baseline(
     arithmetic is that path's exactly.
     """
     tracks: dict[int, GlobalTrack] = {}
-    last_emb: dict[int, np.ndarray] = {}
     next_id = 1
     for frame_dets in detections:
         dets = [d for d in frame_dets if d.score >= cfg.init_score]
         ids = sorted(tracks)
         matched_cols: set[int] = set()
         if ids and dets:
-            reps = [mean_embedding([last_emb[i]]) for i in ids]
+            reps = [mean_embedding([tracks[i].entries[-1].embedding]) for i in ids]
             det_reps = [mean_embedding([d.embedding]) for d in dets]
             assignment = solve_cost_limited(
                 cosine_cost(reps, det_reps), 1.0 - cfg.match_threshold
             )
             for r, c in assignment.pairs:
-                track = tracks[ids[r]]
-                det = dets[c]
-                track.entries.append(det)
-                track.last_frame = det.frame
-                last_emb[track.id] = det.embedding
+                tracks[ids[r]].extend([dets[c]], cfg.buffer_size)
                 matched_cols.add(c)
         for c, det in enumerate(dets):
             if c in matched_cols:
                 continue
-            track = GlobalTrack(id=next_id, entries=[det], last_frame=det.frame)
+            track = GlobalTrack(id=next_id)
             next_id += 1
             tracks[track.id] = track
-            last_emb[track.id] = det.embedding
+            track.extend([det], cfg.buffer_size)
     return [tracks[i] for i in sorted(tracks)]
 
 

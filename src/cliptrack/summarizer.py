@@ -5,9 +5,8 @@ dimension, a learnable track token is prepended, and the sequence runs through
 pre-norm encoder layers (multi-head self-attention + feed-forward).  The
 output at the token position, passed through a single linear output layer, is
 the track's summary embedding.  No positional encodings exist anywhere, so the summary is
-a function of the *multiset* of track elements; in deterministic mode the
-input rows are sorted canonically first, which makes the permutation
-invariance bit-exact.
+a function of the *multiset* of track elements; the input rows are always
+sorted canonically first, which makes the permutation invariance bit-exact.
 
 Tracks are evaluated in packs (``summarize_tracks``; ``forward_summarize`` is
 the one-track case): the rows of a pack's tracks are stacked for every
@@ -356,7 +355,7 @@ def _backward(
     grads.b_in += dx.sum(axis=0)
 
 
-def _as_track_matrix(weights: SummarizerWeights, track, deterministic: bool) -> np.ndarray:
+def _as_track_matrix(weights: SummarizerWeights, track) -> np.ndarray:
     m = np.asarray(track, dtype=np.float64)
     if m.ndim == 1:
         m = m[None, :]
@@ -367,17 +366,17 @@ def _as_track_matrix(weights: SummarizerWeights, track, deterministic: bool) -> 
             f"track dimension {m.shape[1]} does not match summarizer input dim "
             f"{weights.config.input_dim}"
         )
-    return canonical_order(m) if deterministic else m
+    return canonical_order(m)
 
 
-def summarize_tracks(weights: SummarizerWeights, tracks, deterministic: bool = True) -> np.ndarray:
+def summarize_tracks(weights: SummarizerWeights, tracks) -> np.ndarray:
     """Summary embeddings (n, model_dim) of a list of tracks, in packed forwards.
 
     Row ``i`` is bit-identical to ``forward_summarize`` of ``tracks[i]`` alone.
     Tracks are packed in order of length, at most ``_PACK_ROWS`` rows (track
     rows plus one token row each) to a pack, unless one track alone has more.
     """
-    mats = [_as_track_matrix(weights, t, deterministic) for t in tracks]
+    mats = [_as_track_matrix(weights, t) for t in tracks]
     outs = np.empty((len(mats), weights.config.model_dim))
     pack, rows = [], 0
     for i in sorted(range(len(mats)), key=lambda i: len(mats[i])):
@@ -391,9 +390,9 @@ def summarize_tracks(weights: SummarizerWeights, tracks, deterministic: bool = T
     return outs
 
 
-def forward_summarize(weights: SummarizerWeights, track, deterministic: bool = True) -> np.ndarray:
+def forward_summarize(weights: SummarizerWeights, track) -> np.ndarray:
     """Summary embedding (model_dim,) of a track's embedding sequence."""
-    return summarize_tracks(weights, [track], deterministic)[0]
+    return summarize_tracks(weights, [track])[0]
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:
@@ -475,7 +474,6 @@ def _loss_terms(z: list[np.ndarray], anchors, inv_temperature: float = 1.0):
 def batch_loss(
     weights: SummarizerWeights,
     samples,
-    deterministic: bool = True,
     loss_temperature: float = 0.1,
 ) -> float:
     """Mean contrastive loss over all anchors, on temperature-scaled cosines.
@@ -489,10 +487,7 @@ def batch_loss(
     anchors = _anchor_structure(samples)
     if not anchors:
         raise ValueError("no sample in the batch has a same-identity positive")
-    z = [
-        l2_normalize(u)
-        for u in summarize_tracks(weights, [s.track for s in samples], deterministic)
-    ]
+    z = [l2_normalize(u) for u in summarize_tracks(weights, [s.track for s in samples])]
     losses, _ = _loss_terms(z, anchors, 1.0 / loss_temperature)
     return float(np.mean(losses))
 
@@ -500,7 +495,6 @@ def batch_loss(
 def gradient(
     weights: SummarizerWeights,
     samples,
-    deterministic: bool = True,
     loss_temperature: float = 0.1,
 ) -> tuple[SummarizerWeights, float]:
     """Exact analytic gradient of the mean anchor loss; returns (grads, loss)."""
@@ -508,9 +502,7 @@ def gradient(
     if not anchors:
         raise ValueError("no sample in the batch has a same-identity positive")
 
-    outs, pack = _forward(
-        weights, [_as_track_matrix(weights, s.track, deterministic) for s in samples]
-    )
+    outs, pack = _forward(weights, [_as_track_matrix(weights, s.track) for s in samples])
     norms = [float(np.linalg.norm(u)) for u in outs]
     z = [u / n for u, n in zip(outs, norms)]
 

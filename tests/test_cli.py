@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,7 +61,6 @@ class TestDetectionFile:
                 Detection(f, BoundingBox(0.1 + f / 3.0, 0.7, 12.34567891234, 5.5), 0.875, np.ones(2), 0)
                 for f in range(4)
             ],
-            last_frame=3,
         )
         path = tmp_path / "tracks.txt"
         write_tracks([track], path)
@@ -74,8 +77,8 @@ class TestDetectionFile:
 
     def test_write_deterministic_bytes(self, tmp_path):
         tracks = [
-            GlobalTrack(id=1, entries=[det(0), det(1)], last_frame=1),
-            GlobalTrack(id=2, entries=[det(0, x=50.0, source=1)], last_frame=0),
+            GlobalTrack(id=1, entries=[det(0), det(1)]),
+            GlobalTrack(id=2, entries=[det(0, x=50.0, source=1)]),
         ]
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         write_tracks(tracks, a)
@@ -86,8 +89,8 @@ class TestDetectionFile:
 
     def test_sorted_by_frame_then_id(self, tmp_path):
         tracks = [
-            GlobalTrack(id=2, entries=[det(0, source=1)], last_frame=0),
-            GlobalTrack(id=1, entries=[det(1), det(2)], last_frame=2),
+            GlobalTrack(id=2, entries=[det(0, source=1)]),
+            GlobalTrack(id=1, entries=[det(1), det(2)]),
         ]
         path = tmp_path / "t.txt"
         write_tracks(tracks, path)
@@ -394,6 +397,19 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert f"{bad}:{lineno}:" in err and key in err
+
+    def test_module_run_exits_2_and_names_line(self, tmp_path):
+        scen_cfg = tmp_path / "scenario.cfg"
+        scen_cfg.write_text("frames = 10\nframes = 12\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cliptrack.cli", "simulate", "--config", str(scen_cfg),
+             "--out-dir", str(tmp_path / "s")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert f"{scen_cfg}:2:" in proc.stderr
 
 
 class TestTrackFileParsing:

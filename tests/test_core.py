@@ -9,6 +9,7 @@ from cliptrack.core import (
     Assignment,
     BoundingBox,
     Detection,
+    GlobalTrack,
     Tracklet,
     bisoftmax_affinity,
     iou,
@@ -57,6 +58,45 @@ class TestTracklet:
         d = Detection(7, box(0, 0, 1, 1), 1.0, np.ones(2), 0)
         with pytest.raises(ValueError):
             Tracklet(0, (d,), (0, 5))
+
+
+def dets(frames, source=0):
+    return [Detection(f, box(0, 0, 1, 1), 1.0, np.ones(2), source) for f in frames]
+
+
+class TestGlobalTrack:
+    def test_extend_keeps_tail_buffer_and_last_added(self):
+        track = GlobalTrack(1)
+        assert track.last_frame == -1
+        first, second = dets([0, 1, 2]), dets([4, 5])
+        track.extend(first, 3)
+        track.extend(second, 3)
+        assert track.entries == first + second and track.last_frame == 5
+        assert [f for f, _ in track.embedding_buffer] == [2, 4, 5]
+        buffer, tail = track.embedding_buffer, track.entries[-3:]
+        assert all(e is d.embedding for (_, e), d in zip(buffer, tail))
+        assert [id(e) for e in track.last_added] == [id(d.embedding) for d in second]
+        track.extend([], 3)
+        assert track.last_frame == 5 and len(track.last_added) == 2
+
+    def test_absorb_keeps_own_entry_on_shared_frame(self):
+        track, other = GlobalTrack(1), GlobalTrack(2)
+        track.extend(dets([0, 2, 4]), 10)
+        other.extend(dets([1, 2, 3], source=1), 10)
+        shared = other.entries[1]
+        assert track.absorb(other, 2) == [shared]
+        assert track.frames() == [0, 1, 2, 3, 4]
+        assert all(d.source_index == 0 for d in track.entries if d.frame in (0, 2, 4))
+        assert [f for f, _ in track.embedding_buffer] == [3, 4]
+
+    @pytest.mark.parametrize("other_end, taken", [(3, False), (6, True)])
+    def test_absorb_takes_last_added_of_the_later_track(self, other_end, taken):
+        track, other = GlobalTrack(1), GlobalTrack(2)
+        track.extend(dets([0, 4]), 10)
+        other.extend(dets([1, other_end], source=1), 10)
+        before = track.last_added
+        track.absorb(other, 10)
+        assert track.last_added is (other.last_added if taken else before)
 
 
 class TestIou:

@@ -142,14 +142,6 @@ class TestSummarizeTracks:
             for row, track in enumerate(tracks):
                 assert np.array_equal(packed[row], forward_summarize(w, track))
 
-    def test_non_deterministic_order_kept(self):
-        w = random_weights(SMALL, 75)
-        rng = SplitMix64(76)
-        tracks = [random_track(rng, n) for n in (4, 2, 4)]
-        packed = summarize_tracks(w, tracks, deterministic=False)
-        for row, track in enumerate(tracks):
-            assert np.array_equal(packed[row], forward_summarize(w, track, deterministic=False))
-
     def test_empty_list(self):
         assert summarize_tracks(init_weights(SMALL, 0), []).shape == (0, 8)
 
