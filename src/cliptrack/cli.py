@@ -276,42 +276,36 @@ def pipeline_config_from_file(path) -> PipelineConfig:
     )
 
 
-TRAIN_FILE_EXTRAS = ("model_dim", "n_layers", "n_heads", "ffn_dim", "n_videos", "pool_per_frame")
-AUG_KEYS = {
-    "positive_iou": float,
-    "negative_low": float,
-    "negative_high": float,
-    "p_positive": float,
-    "p_negative": float,
-    "p_hybrid": float,
-    "mixup_bound": float,
-}
+# Summarizer dimensions a training file may set; the scenario sets input_dim.
+MODEL_DIMS = [f for f in fields(SummarizerConfig) if f.name != "input_dim"]
+# AugmentConfig's fields in order, its tuples flattened.
+AUG_KEYS = ("positive_iou", "negative_low", "negative_high", "p_positive", "p_negative", "p_hybrid",
+            "mixup_bound")
 
 
 def train_setup_from_file(path):
-    """Returns (TrainConfig, AugmentConfig, model fields dict)."""
+    """Returns (TrainConfig, AugmentConfig, model fields dict).
+
+    The model fields are the summarizer dimensions of ``MODEL_DIMS``,
+    ``n_videos`` and ``pool_per_frame``.  A key missing from the file keeps
+    its class's default.
+    """
     kv = read_kv(path)
-    model = {"model_dim": 64, "n_layers": 3, "n_heads": 8, "ffn_dim": 0, "n_videos": 6, "pool_per_frame": 2}
-    aug_raw = {}
+    model = {f.name: f.default for f in MODEL_DIMS} | {"n_videos": 6, "pool_per_frame": 2}
+    d = AugmentConfig()
+    aug_raw = dict(zip(AUG_KEYS, (d.positive_iou, *d.negative_band, *d.track_type_probs,
+                                  d.mixup_bound)))
     train_kv = {}
     for key, entry in kv.items():
-        if key in TRAIN_FILE_EXTRAS:
+        if key in model:
             model[key] = _parse_value(path, entry, key, int)
-        elif key in AUG_KEYS:
-            aug_raw[key] = _parse_value(path, entry, key, AUG_KEYS[key])
+        elif key in aug_raw:
+            aug_raw[key] = _parse_value(path, entry, key, float)
         else:
             train_kv[key] = entry
     train_cfg = _build_from_kv(TrainConfig, path, train_kv)
-    aug = AugmentConfig(
-        positive_iou=aug_raw.get("positive_iou", 0.7),
-        negative_band=(aug_raw.get("negative_low", 0.3), aug_raw.get("negative_high", 0.5)),
-        track_type_probs=(
-            aug_raw.get("p_positive", 1 / 3),
-            aug_raw.get("p_negative", 1 / 3),
-            aug_raw.get("p_hybrid", 1 / 3),
-        ),
-        mixup_bound=aug_raw.get("mixup_bound", 0.3),
-    )
+    positive_iou, low, high, p_pos, p_neg, p_hybrid, mixup_bound = aug_raw.values()
+    aug = AugmentConfig(positive_iou, (low, high), (p_pos, p_neg, p_hybrid), mixup_bound)
     return train_cfg, aug, model
 
 
@@ -409,13 +403,8 @@ def _cmd_train(args) -> int:
         base = with_seed(base, args.seed)
         train_cfg = replace(train_cfg, seed=args.seed)
     scenario_cfgs = [with_seed(base, base.seed + i) for i in range(model["n_videos"])]
-    model_cfg = SummarizerConfig(
-        input_dim=base.embedding_dim,
-        model_dim=model["model_dim"],
-        n_layers=model["n_layers"],
-        n_heads=model["n_heads"],
-        ffn_dim=model["ffn_dim"],
-    )
+    dims = {f.name: model[f.name] for f in MODEL_DIMS}
+    model_cfg = SummarizerConfig(input_dim=base.embedding_dim, **dims)
     source = scenario_sample_source(
         scenario_cfgs, aug, train_cfg, pool_per_frame=model["pool_per_frame"]
     )

@@ -44,9 +44,6 @@ class Interruption:
         if self.end < self.start:
             raise ValueError("interruption window end before start")
 
-    def covers(self, frame: int) -> bool:
-        return self.start <= frame <= self.end
-
     def affects(self, identity: int) -> bool:
         return self.identities is None or identity in self.identities
 
@@ -407,9 +404,9 @@ def _proposal_embedding(rng: SplitMix64, gt: GroundTruth, identity: int, frame: 
 
 def build_proposal_pool(
     gt: GroundTruth,
-    positive_iou: float = 0.7,
-    negative_band: tuple[float, float] = (0.3, 0.5),
-    per_frame: int = 2,
+    positive_iou: float,
+    negative_band: tuple[float, float],
+    per_frame: int,
     seed: int = 0,
 ) -> ProposalPool:
     if per_frame < 1:

@@ -416,20 +416,23 @@ def contrastive_loss(anchor: np.ndarray, positives, negatives) -> float:
     a = np.asarray(anchor, dtype=np.float64)
     pos = np.array([a @ np.asarray(p, dtype=np.float64) for p in positives])
     neg = np.array([a @ np.asarray(n, dtype=np.float64) for n in negatives])
-    x = (neg[None, :] - pos[:, None]).ravel()
+    return _anchor_loss(pos, neg)[0]
+
+
+def _anchor_loss(pos: np.ndarray, neg: np.ndarray) -> tuple[float, np.ndarray]:
+    """log(1 + sum_ij exp(neg_j - pos_i)), overflow-safe, and its pair weights
+    exp(neg_j - pos_i) / (1 + sum), the loss's derivative per dot difference."""
+    x = neg[None, :] - pos[:, None]
     m = max(0.0, float(x.max()))
-    return m + math.log(math.exp(-m) + np.exp(x - m).sum())
+    loss = m + math.log(math.exp(-m) + np.exp(x - m).sum())
+    return loss, np.exp(x - loss)
 
 
 def _is_junk(sample) -> bool:
     """Tracks whose well-localized elements are in the minority no longer
     carry a dominant identity; they act as pure negatives (the corruption they
     simulate must not be matched), never as anchors or positives."""
-    tags = getattr(sample, "tags", None)
-    if tags is None:
-        return False
-    positive = sum(1 for t in tags if t == "positive")
-    return positive * 2 < len(tags)
+    return 2 * sum(1 for t in sample.tags if t == "positive") < len(sample.tags)
 
 
 def _anchor_structure(samples) -> list[tuple[int, list[int], list[int]]]:
@@ -449,11 +452,8 @@ def _anchor_structure(samples) -> list[tuple[int, list[int], list[int]]]:
 
 
 def _loss_terms(z: list[np.ndarray], anchors, inv_temperature: float = 1.0):
-    """Per-anchor losses and the softmax-style pair weights used by backprop.
-
-    The weights already include the inverse-temperature factor, so backprop
-    can use them directly as d(loss)/d(dot difference).
-    """
+    """Per-anchor losses and pair weights; the weights already include the
+    inverse-temperature factor, so backprop uses them as d(loss)/d(dot difference)."""
     losses = []
     weights = []
     for i, pos, neg in anchors:
@@ -463,11 +463,9 @@ def _loss_terms(z: list[np.ndarray], anchors, inv_temperature: float = 1.0):
             continue
         p = np.array([z[i] @ z[j] for j in pos]) * inv_temperature
         n = np.array([z[i] @ z[j] for j in neg]) * inv_temperature
-        x = n[None, :] - p[:, None]
-        m = max(0.0, float(x.max()))
-        loss = m + math.log(math.exp(-m) + np.exp(x - m).sum())
+        loss, pair_w = _anchor_loss(p, n)
         losses.append(loss)
-        weights.append(np.exp(x - loss) * inv_temperature)  # stable exp(x)/(1+sum)
+        weights.append(pair_w * inv_temperature)
     return losses, weights
 
 

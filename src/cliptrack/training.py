@@ -114,22 +114,21 @@ def build_track_samples(
     gt: GroundTruth,
     pool: ProposalPool,
     aug: AugmentConfig,
+    cfg: TrainConfig,
     seed: int,
-    count: int = 8,
-    length_range: tuple[int, int] = (2, 10),
     video: int = 0,
-    group_size: int = 4,
-    sample_span: int = 10,
-    frame_window: int | None = 30,
 ) -> list[TrainSample]:
-    """Assemble track samples from the proposal pool, order-free over frames.
+    """Assemble ``cfg.tracks_per_video`` track samples from the proposal pool,
+    order-free over frames, each ``cfg.track_len_min`` to ``cfg.track_len_max``
+    elements long.
 
-    Identities are drawn in groups of ``group_size`` consecutive samples so
-    every identity in the batch has same-identity partners (its contrastive
-    positives).  Each sample draws frames from a ``sample_span``-frame window;
-    later group members start their windows up to ``frame_window`` frames
-    after the group's first, so positive pairs rehearse re-identification
-    across the temporal gaps the matcher faces after an interruption.
+    Identities are drawn in groups of ``cfg.group_size`` consecutive samples
+    so every identity in the batch has same-identity partners (its contrastive
+    positives).  Each sample draws frames from a ``cfg.sample_span``-frame
+    window; later group members start their windows up to ``cfg.frame_window``
+    frames after the group's first, so positive pairs rehearse
+    re-identification across the temporal gaps the matcher faces after an
+    interruption.  ``cfg.frame_window == 0`` draws from all frames.
     """
     rng = SplitMix64(seed)
     identities = [
@@ -139,29 +138,24 @@ def build_track_samples(
     ]
     if not identities:
         raise ValueError("proposal pool is empty")
-    group_size = max(1, group_size)
 
     samples: list[TrainSample] = []
-    identity = None
-    group_start = None
-    for s_idx in range(count):
+    for s_idx in range(cfg.tracks_per_video):
         window = None
-        if s_idx % group_size == 0 or identity is None:
+        if s_idx % cfg.group_size == 0:
             identity = identities[rng.randint(len(identities))]
-            if frame_window is not None:
-                group_start = rng.randint(max(1, gt.config.frames - sample_span + 1))
-                window = (group_start, group_start + sample_span)
-            else:
-                group_start = None
-        elif group_start is not None:
+            if cfg.frame_window:
+                group_start = rng.randint(max(1, gt.config.frames - cfg.sample_span + 1))
+                window = (group_start, group_start + cfg.sample_span)
+        elif cfg.frame_window:
             # Alternate near and far offsets so positive pairs cover the whole
             # gap range instead of clustering at small gaps.
-            w = max(2, frame_window or 2)
+            w = max(2, cfg.frame_window)
             if s_idx % 2 == 1:
                 gap = rng.randint(w // 2)
             else:
                 gap = w // 2 + rng.randint(w - w // 2)
-            window = (group_start + gap, group_start + gap + sample_span)
+            window = (group_start + gap, group_start + gap + cfg.sample_span)
         pos = _in_window(pool.positives.get(identity, []), window)
         neg = _in_window(pool.negatives.get(identity, []), window)
         if not pos and not neg:
@@ -185,10 +179,9 @@ def build_track_samples(
             if track_type in usable:
                 break
 
-        length = length_range[0] + rng.randint(length_range[1] - length_range[0] + 1)
         rows = []
         tags = []
-        for _ in range(length):
+        for _ in range(_draw_length(rng, cfg)):
             if track_type == 0:
                 pick_pos = True
             elif track_type == 1:
@@ -200,18 +193,23 @@ def build_track_samples(
             rows.append(proposal.embedding)
             tags.append(TAG_POSITIVE if pick_pos else TAG_NEGATIVE)
         samples.append(TrainSample(np.stack(rows), tuple(tags), identity, video))
-        if group_size >= 2 and aug.track_type_probs[0] > 0 and (s_idx + 1) % group_size == 0:
-            _ensure_group_anchors(samples, s_idx + 1 - group_size, pos, rng, length_range)
+        if (cfg.group_size >= 2 and aug.track_type_probs[0] > 0
+                and (s_idx + 1) % cfg.group_size == 0):
+            _ensure_group_anchors(samples, s_idx + 1 - cfg.group_size, pos, rng, cfg)
     return samples
 
 
-def _ensure_group_anchors(samples, group_start, pos_pool, rng, length_range) -> None:
+def _draw_length(rng: SplitMix64, cfg: TrainConfig) -> int:
+    return cfg.track_len_min + rng.randint(cfg.track_len_max - cfg.track_len_min + 1)
+
+
+def _ensure_group_anchors(samples, first, pos_pool, rng, cfg: TrainConfig) -> None:
     """Contrastive anchors need same-identity partners whose identity
-    dominates; rebuild group members as positive-only tracks until at least
-    two such samples exist."""
+    dominates; rebuild group members (``samples[first:]``) as positive-only
+    tracks until at least two such samples exist."""
     if not pos_pool:
         return
-    group = list(range(group_start, len(samples)))
+    group = list(range(first, len(samples)))
 
     def dominant(s):
         return 2 * sum(1 for t in s.tags if t == TAG_POSITIVE) >= len(s.tags)
@@ -222,7 +220,7 @@ def _ensure_group_anchors(samples, group_start, pos_pool, rng, length_range) -> 
             break
         if dominant(samples[g]):
             continue
-        length = length_range[0] + rng.randint(length_range[1] - length_range[0] + 1)
+        length = _draw_length(rng, cfg)
         rows = [pos_pool[rng.randint(len(pos_pool))].embedding for _ in range(length)]
         samples[g] = TrainSample(
             np.stack(rows), (TAG_POSITIVE,) * length, samples[g].identity, samples[g].video
@@ -292,12 +290,12 @@ def scenario_sample_source(
     aug: AugmentConfig,
     train_cfg: TrainConfig,
     pool_per_frame: int = 2,
-    pool_seed: int = 7,
 ):
     """Batch sampler over a family of scenarios; one scenario acts as one video.
 
-    Proposal pools are synthesized once per scenario.  The returned callable
-    maps a batch seed to a list of TrainSamples with mixup already applied.
+    Proposal pools are synthesized once per scenario, video ``v``'s from seed
+    ``7 + v``.  The returned callable maps a batch seed to a list of
+    TrainSamples with mixup already applied.
     """
     prepared = []
     for v, cfg in enumerate(scenario_configs):
@@ -307,11 +305,9 @@ def scenario_sample_source(
             positive_iou=aug.positive_iou,
             negative_band=aug.negative_band,
             per_frame=pool_per_frame,
-            seed=pool_seed + v,
+            seed=7 + v,
         )
         prepared.append((gt, pool))
-
-    length_range = (train_cfg.track_len_min, train_cfg.track_len_max)
 
     def source(batch_seed: int) -> list[TrainSample]:
         rng = SplitMix64(batch_seed)
@@ -319,20 +315,7 @@ def scenario_sample_source(
         for _ in range(train_cfg.videos_per_batch):
             v = rng.randint(len(prepared))
             gt, pool = prepared[v]
-            batch.extend(
-                build_track_samples(
-                    gt,
-                    pool,
-                    aug,
-                    seed=rng.next_u64(),
-                    count=train_cfg.tracks_per_video,
-                    length_range=length_range,
-                    video=v,
-                    group_size=train_cfg.group_size,
-                    sample_span=train_cfg.sample_span,
-                    frame_window=train_cfg.frame_window or None,
-                )
-            )
+            batch.extend(build_track_samples(gt, pool, aug, train_cfg, rng.next_u64(), v))
         return apply_mixup(batch, aug, rng.next_u64())
 
     return source
@@ -344,13 +327,10 @@ def train(
     cfg: TrainConfig,
     init_seed: int | None = None,
 ) -> tuple[SummarizerWeights, list[float]]:
-    """Plain SGD with momentum over sampled batches; returns weights and the
-    per-epoch mean loss history.  Raises on non-finite loss, naming the epoch.
+    """Plain SGD with momentum over batches ``sample_source(batch_seed)``;
+    returns weights and the per-epoch mean loss history.  Raises on non-finite
+    loss, naming the epoch.
     """
-    if isinstance(sample_source, (list, tuple)):
-        fixed = list(sample_source)
-        sample_source = lambda _seed: fixed  # noqa: E731
-
     weights = init_weights(model_cfg, cfg.seed if init_seed is None else init_seed)
     velocity = np.zeros_like(weights.flat)
     step = np.empty_like(weights.flat)  # lr * velocity, without a temporary per step

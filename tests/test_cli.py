@@ -1,4 +1,3 @@
-import json
 import os
 import subprocess
 import sys
@@ -23,7 +22,6 @@ from cliptrack.cli import (
 )
 from cliptrack.core import BoundingBox, Detection, GlobalTrack
 from cliptrack.metrics import EvalReport
-from cliptrack.scenario import ScenarioConfig, generate
 
 
 def det(frame, x=10.0, score=0.9, source=0, dim=4):

@@ -1,11 +1,10 @@
 from collections import Counter
 
-import numpy as np
 import pytest
 
 from cliptrack.metrics import evaluate, tracks_from_global
 from cliptrack.pipeline import PipelineConfig, frame_by_frame_baseline, run, sweep
-from cliptrack.scenario import Interruption, ScenarioConfig, generate
+from cliptrack.scenario import ScenarioConfig, generate
 from cliptrack.summarizer import SummarizerConfig, init_weights
 
 from .conftest import EMBED_DIM, suite_scenario

@@ -112,7 +112,7 @@ class TestProposalPool:
         # Boxes, IoUs and embeddings share one stream; any change to its draw
         # order moves this hash.
         gt, _ = generate(ScenarioConfig(frames=12, identities=3, embedding_noise=0.1, seed=77))
-        pool = build_proposal_pool(gt, per_frame=2, seed=78)
+        pool = build_proposal_pool(gt, 0.7, (0.3, 0.5), per_frame=2, seed=78)
         h = hashlib.sha256()
         for bucket in (pool.positives, pool.negatives):
             for identity in sorted(bucket):
@@ -126,11 +126,11 @@ class TestProposalPool:
     def test_nonpositive_per_frame_rejected(self, per_frame):
         gt, _ = generate(noiseless_config(frames=4, identities=2))
         with pytest.raises(ValueError, match="per_frame"):
-            build_proposal_pool(gt, per_frame=per_frame)
+            build_proposal_pool(gt, 0.7, (0.3, 0.5), per_frame=per_frame)
 
     def test_bands_and_embedding_quality(self):
         gt, _ = generate(noiseless_config(frames=10, identities=3))
-        pool = build_proposal_pool(gt, per_frame=1, seed=9)
+        pool = build_proposal_pool(gt, 0.7, (0.3, 0.5), per_frame=1, seed=9)
         for identity in range(3):
             assert all(p.iou >= 0.7 for p in pool.positives[identity])
             assert all(0.3 <= p.iou < 0.5 for p in pool.negatives[identity])
@@ -144,7 +144,7 @@ class TestProposalPool:
 
     def test_gt_band_gives_gt_boxes_and_ious_recompute(self):
         gt, _ = generate(noiseless_config(frames=6, identities=2))
-        pool = build_proposal_pool(gt, positive_iou=1.0, per_frame=2, seed=3)
+        pool = build_proposal_pool(gt, 1.0, (0.3, 0.5), per_frame=2, seed=3)
         for identity in range(2):
             for p in pool.positives[identity]:
                 assert p.box.as_tuple() == gt.trajectories[identity][p.frame].as_tuple()
@@ -155,7 +155,7 @@ class TestProposalPool:
     def test_unreachable_band_errors(self):
         gt, _ = generate(noiseless_config(frames=2, identities=1))
         with pytest.raises(ValueError, match="unreachable"):
-            build_proposal_pool(gt, negative_band=(0.999999999, 0.9999999995), per_frame=1, seed=4)
+            build_proposal_pool(gt, 0.7, (0.999999999, 0.9999999995), per_frame=1, seed=4)
 
 
 class TestJsonRoundTrip:

@@ -26,7 +26,7 @@ from cliptrack.training import (
 def small_world():
     cfg = ScenarioConfig(frames=12, identities=3, embedding_noise=0.1, seed=77)
     gt, _ = generate(cfg)
-    pool = build_proposal_pool(gt, per_frame=2, seed=78)
+    pool = build_proposal_pool(gt, 0.7, (0.3, 0.5), per_frame=2, seed=78)
     return gt, pool
 
 
@@ -34,9 +34,11 @@ class TestBuildTrackSamples:
     def test_positives_only_from_exact_gt_band(self):
         cfg = ScenarioConfig(frames=8, identities=2, seed=81)
         gt, _ = generate(cfg)
-        pool = build_proposal_pool(gt, positive_iou=1.0, per_frame=1, seed=82)
+        pool = build_proposal_pool(gt, 1.0, (0.3, 0.5), per_frame=1, seed=82)
         aug = AugmentConfig.positives_only()
-        samples = build_track_samples(gt, pool, aug, seed=83, count=4, length_range=(2, 4))
+        samples = build_track_samples(
+            gt, pool, aug, TrainConfig(tracks_per_video=4, track_len_max=4), seed=83
+        )
         for s in samples:
             assert all(tag == TAG_POSITIVE for tag in s.tags)
             sims = [
@@ -48,7 +50,7 @@ class TestBuildTrackSamples:
     def test_negative_only_band(self, small_world):
         gt, pool = small_world
         aug = AugmentConfig(track_type_probs=(0.0, 1.0, 0.0), mixup_bound=0.0)
-        samples = build_track_samples(gt, pool, aug, seed=84, count=6)
+        samples = build_track_samples(gt, pool, aug, TrainConfig(tracks_per_video=6), seed=84)
         for s in samples:
             assert all(tag == TAG_NEGATIVE for tag in s.tags)
         for identity, props in pool.negatives.items():
@@ -58,7 +60,9 @@ class TestBuildTrackSamples:
         gt, pool = small_world
         aug = AugmentConfig()
         samples = build_track_samples(
-            gt, pool, aug, seed=85, count=3000, length_range=(3, 3), group_size=1
+            gt, pool, aug,
+            TrainConfig(tracks_per_video=3000, track_len_min=3, track_len_max=3, group_size=1),
+            seed=85,
         )
         pure_pos = sum(1 for s in samples if all(t == TAG_POSITIVE for t in s.tags))
         pure_neg = sum(1 for s in samples if all(t == TAG_NEGATIVE for t in s.tags))
@@ -72,14 +76,15 @@ class TestBuildTrackSamples:
 
     def test_grouped_identities_guarantee_positives(self, small_world):
         gt, pool = small_world
-        samples = build_track_samples(gt, pool, AugmentConfig(), seed=86, count=8, group_size=4)
+        samples = build_track_samples(gt, pool, AugmentConfig(), TrainConfig(), seed=86)
         idents = [s.identity for s in samples]
         assert all(idents.count(i) >= 2 for i in set(idents))
 
     def test_deterministic(self, small_world):
         gt, pool = small_world
-        a = build_track_samples(gt, pool, AugmentConfig(), seed=87, count=6)
-        b = build_track_samples(gt, pool, AugmentConfig(), seed=87, count=6)
+        cfg = TrainConfig(tracks_per_video=6)
+        a = build_track_samples(gt, pool, AugmentConfig(), cfg, seed=87)
+        b = build_track_samples(gt, pool, AugmentConfig(), cfg, seed=87)
         for sa, sb in zip(a, b):
             assert np.array_equal(sa.track, sb.track)
             assert sa.tags == sb.tags and sa.identity == sb.identity
@@ -134,7 +139,7 @@ class TestTrackMixup:
 
     def test_apply_mixup_draw_order_pinned(self, small_world):
         gt, pool = small_world
-        samples = build_track_samples(gt, pool, AugmentConfig(), seed=79, count=8)
+        samples = build_track_samples(gt, pool, AugmentConfig(), TrainConfig(), seed=79)
         out = apply_mixup(samples, AugmentConfig(), seed=80)
         assert any(TAG_MIXED in s.tags for s in out)
         h = hashlib.sha256()
@@ -172,7 +177,7 @@ class TestTrainConfig:
 
 
 class TestTrain:
-    def make_source(self, aug=None):
+    def make_source(self, aug=None, **overrides):
         cfgs = [
             ScenarioConfig(frames=16, identities=3, embedding_noise=0.15, drift_rate=0.01, seed=90 + i)
             for i in range(2)
@@ -181,7 +186,19 @@ class TestTrain:
             learning_rate=1e-3, epochs=6, steps_per_epoch=2, videos_per_batch=2,
             tracks_per_video=6, seed=5, track_len_min=2, track_len_max=6, frame_window=16,
         )
+        train_cfg = dataclasses.replace(train_cfg, **overrides)
         return scenario_sample_source(cfgs, aug or AugmentConfig(), train_cfg), train_cfg
+
+    def test_unwindowed_ungrouped_batches_pinned(self):
+        """Batches without frame windows (frame_window=0) and with one-sample
+        groups stay bit-identical: the draw order of that branch is fixed."""
+        source, _ = self.make_source(frame_window=0, group_size=1)
+        h = hashlib.sha256()
+        for seed in range(3):
+            for s in source(seed):
+                h.update(s.track.tobytes())
+                h.update(repr((s.tags, s.identity, s.video)).encode())
+        assert h.hexdigest() == "9ad2f1732a6c26ccfa1e611de7ae8e3b463153d1143fb4fbf98a26b0e7ca311b"
 
     def test_fixed_seed_reproducible(self):
         model_cfg = SummarizerConfig(input_dim=16, model_dim=16, n_layers=1, n_heads=2)
@@ -260,4 +277,4 @@ class TestTrain:
         ]
         cfg = TrainConfig(learning_rate=0.02, epochs=3, steps_per_epoch=1)
         with pytest.raises(ValueError, match="epoch"):
-            train(batch, model_cfg, cfg)
+            train(lambda _seed: batch, model_cfg, cfg)
