@@ -38,7 +38,7 @@ from .scenario import (
     with_seed,
 )
 from .summarizer import SummarizerConfig, load_weights, save_weights
-from .training import AugmentConfig, TrainConfig, scenario_sample_source, train
+from .training import POOL_PER_FRAME, AugmentConfig, TrainConfig, scenario_sample_source, train
 
 
 class UsageError(Exception):
@@ -73,16 +73,21 @@ def _parse_line(path, lineno: int, line: str) -> tuple[int, int, BoundingBox, fl
     return frame - 1, track_id, BoundingBox(x, y, w, h), conf
 
 
-def parse_detections(path) -> list[list[tuple[BoundingBox, float]]]:
-    """Per-frame (box, score) lists; input ids are ignored."""
-    frames: dict[int, list[tuple[BoundingBox, float]]] = {}
+def _lines(path):
+    """(1-based line number, stripped line) for each nonblank line of a file."""
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
-            if not line:
-                continue
-            frame, _ignored, box, conf = _parse_line(path, lineno, line)
-            frames.setdefault(frame, []).append((box, conf))
+            if line:
+                yield lineno, line
+
+
+def parse_detections(path) -> list[list[tuple[BoundingBox, float]]]:
+    """Per-frame (box, score) lists; input ids are ignored."""
+    frames: dict[int, list[tuple[BoundingBox, float]]] = {}
+    for lineno, line in _lines(path):
+        frame, _ignored, box, conf = _parse_line(path, lineno, line)
+        frames.setdefault(frame, []).append((box, conf))
     n = max(frames) + 1 if frames else 0
     return [frames.get(f, []) for f in range(n)]
 
@@ -90,30 +95,26 @@ def parse_detections(path) -> list[list[tuple[BoundingBox, float]]]:
 def parse_embeddings(path, expected_dim: int) -> dict[tuple[int, int], np.ndarray]:
     """Sidecar embeddings keyed by (0-based frame, detection index)."""
     out: dict[tuple[int, int], np.ndarray] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) < 3:
-                raise ValueError(f"{path}:{lineno}: expected frame,det_index,v1,...")
-            try:
-                frame = int(parts[0])
-                det_index = int(parts[1])
-                values = np.array([float(v) for v in parts[2:]], dtype=np.float64)
-            except ValueError as err:
-                raise ValueError(f"{path}:{lineno}: {err}") from None
-            if values.size != expected_dim:
-                raise ValueError(
-                    f"{path}:{lineno}: embedding dimension {values.size}, expected {expected_dim}"
-                )
-            key = (frame - 1, det_index)
-            if key in out:
-                raise ValueError(
-                    f"{path}:{lineno}: duplicate embedding for frame {frame}, det {det_index}"
-                )
-            out[key] = values
+    for lineno, line in _lines(path):
+        parts = line.split(",")
+        if len(parts) < 3:
+            raise ValueError(f"{path}:{lineno}: expected frame,det_index,v1,...")
+        try:
+            frame = int(parts[0])
+            det_index = int(parts[1])
+            values = np.array([float(v) for v in parts[2:]], dtype=np.float64)
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: {err}") from None
+        if values.size != expected_dim:
+            raise ValueError(
+                f"{path}:{lineno}: embedding dimension {values.size}, expected {expected_dim}"
+            )
+        key = (frame - 1, det_index)
+        if key in out:
+            raise ValueError(
+                f"{path}:{lineno}: duplicate embedding for frame {frame}, det {det_index}"
+            )
+        out[key] = values
     return out
 
 
@@ -176,16 +177,12 @@ def write_embeddings(detections: list[list[Detection]], path) -> None:
 def parse_track_file(path) -> Tracks:
     """Track file with meaningful ids (ground truth or predictions)."""
     tracks: Tracks = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            frame, track_id, box, _conf = _parse_line(path, lineno, line)
-            per_track = tracks.setdefault(track_id, {})
-            if frame in per_track:
-                raise ValueError(f"{path}:{lineno}: track {track_id} already has frame {frame + 1}")
-            per_track[frame] = box
+    for lineno, line in _lines(path):
+        frame, track_id, box, _conf = _parse_line(path, lineno, line)
+        per_track = tracks.setdefault(track_id, {})
+        if frame in per_track:
+            raise ValueError(f"{path}:{lineno}: track {track_id} already has frame {frame + 1}")
+        per_track[frame] = box
     return tracks
 
 
@@ -205,17 +202,16 @@ def gt_to_global_tracks(gt_tracks: Tracks) -> list[GlobalTrack]:
 def read_kv(path) -> dict[str, tuple[int, str]]:
     """``key = value`` lines as key -> (line number, value); ``#`` starts a comment."""
     out: dict[str, tuple[int, str]] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key in out:
-                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-            out[key] = (lineno, value)
+    for lineno, line in _lines(path):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+        out[key] = (lineno, value)
     return out
 
 
@@ -291,7 +287,7 @@ def train_setup_from_file(path):
     its class's default.
     """
     kv = read_kv(path)
-    model = {f.name: f.default for f in MODEL_DIMS} | {"n_videos": 6, "pool_per_frame": 2}
+    model = {f.name: f.default for f in MODEL_DIMS} | {"n_videos": 6, "pool_per_frame": POOL_PER_FRAME}
     d = AugmentConfig()
     aug_raw = dict(zip(AUG_KEYS, (d.positive_iou, *d.negative_band, *d.track_type_probs,
                                   d.mixup_bound)))
@@ -388,11 +384,8 @@ def _cmd_track(args) -> int:
 
 
 def _sniff_dim(path) -> int:
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if line:
-                return max(len(line.split(",")) - 2, 1)
+    for _lineno, line in _lines(path):
+        return max(len(line.split(",")) - 2, 1)
     raise ValueError(f"{path}: empty embeddings file")
 
 
@@ -415,8 +408,8 @@ def _cmd_train(args) -> int:
         fh.write("epoch,loss\n")
         for epoch, loss in enumerate(history):
             fh.write(f"{epoch},{_fmt(loss)}\n")
-    snapshot = {"train": asdict(train_cfg), "augment": asdict(aug), "model": model,
-                "scenario": asdict(base)}
+    snapshot = {"train": asdict(train_cfg), "augment": asdict(aug),
+                "model": model | {"ffn_dim": model_cfg.ffn_dim}, "scenario": asdict(base)}
     _manifest(
         "train", args, snapshot, [args.scenario_config, args.train_config],
         [args.out_weights, loss_path], args.seed,

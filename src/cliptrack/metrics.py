@@ -1,12 +1,12 @@
 """Association-focused tracking metrics: IDF1, MOTA, id switches, fragmentation.
 
 Tracks are frame-indexed box maps (track id -> {frame -> BoundingBox}).
-Per-frame correspondence is the optimal gated box matching
-(``core.solve_assignment`` on ``1 - IoU``).  IDF1 additionally solves one
-global identity bijection maximizing total per-frame overlap: a cost-limited
-solve (``core.solve_cost_limited``) on ``-overlap`` over the positive overlaps,
-so identities joined by no overlap fall into separate solver components.  MOTA
-can be negative; the clamped value is reported alongside the raw one.
+Scoring is one pass over the frames, each co-present box pair's IoU computed
+once: per frame, the optimal gated matching (``core.solve_assignment`` on
+``1 - IoU``) gives fn, fp, switches and fragmentations, and gated pairs add to
+an identity overlap count.  IDF1's identity bijection is then one cost-limited
+solve (``core.solve_cost_limited``) on ``-overlap`` over the positive overlaps.
+MOTA can be negative; the clamped value is reported alongside the raw one.
 """
 
 from __future__ import annotations
@@ -53,57 +53,68 @@ class EvalReport:
         return EvalReport(**json.loads(text))
 
 
-def _frame_matching(gt: Tracks, pred: Tracks, gate: float):
-    """Per-frame optimal gated matching: frame -> {gt id -> pred id}."""
-    frames = sorted(
-        {f for track in gt.values() for f in track}
-        | {f for track in pred.values() for f in track}
-    )
-    gt_ids = sorted(gt)
-    pred_ids = sorted(pred)
-    per_frame: dict[int, dict[int, int]] = {}
-    counts = {"fp": 0, "fn": 0}
-    for f in frames:
-        g_here = [i for i in gt_ids if f in gt[i]]
-        p_here = [i for i in pred_ids if f in pred[i]]
+def _by_frame(tracks: Tracks) -> dict[int, tuple[list[int], list[BoundingBox]]]:
+    """frame -> (rows, boxes) of the tracks present, rows in ascending id order."""
+    out: dict[int, tuple[list[int], list[BoundingBox]]] = {}
+    for row, key in enumerate(sorted(tracks)):
+        for f, box in tracks[key].items():
+            rows, boxes = out.setdefault(f, ([], []))
+            rows.append(row)
+            boxes.append(box)
+    return out
+
+
+def _one_pass(gt: Tracks, pred: Tracks, gate: float):
+    """Walk the frames in ascending order, scoring each co-present box pair once.
+
+    Returns (overlap, fn, fp, id switches, fragmentations), where
+    ``overlap[g, p]`` counts the frames in which gt row ``g`` and pred column
+    ``p`` both exist and their boxes pass the gate.
+    """
+    gt_frames, pred_frames = _by_frame(gt), _by_frame(pred)
+    overlap = np.zeros((len(gt), len(pred)), dtype=np.int64)
+    fn = fp = id_switches = fragmentations = 0
+    last_pred: list[int | None] = [None] * len(gt)  # column of each gt row's last match
+    lost = [False] * len(gt)  # unmatched since its last match
+    for f in sorted(gt_frames.keys() | pred_frames.keys()):
+        g_rows, g_boxes = gt_frames.get(f, ([], []))
+        p_cols, p_boxes = pred_frames.get(f, ([], []))
         matches: dict[int, int] = {}
-        if g_here and p_here:
-            cost = np.array(
-                [[1.0 - iou(gt[gi][f], pred[pi][f]) for pi in p_here] for gi in g_here]
-            )
-            assignment = solve_assignment(cost, 1.0 - gate)
-            matches = {g_here[r]: p_here[c] for r, c in assignment.pairs}
-        per_frame[f] = matches
-        counts["fn"] += len(g_here) - len(matches)
-        counts["fp"] += len(p_here) - len(matches)
-    return per_frame, counts
+        if g_rows and p_cols:
+            ious = np.array([[iou(g, p) for p in p_boxes] for g in g_boxes])
+            hit_r, hit_c = np.nonzero(ious >= gate)
+            overlap[np.array(g_rows)[hit_r], np.array(p_cols)[hit_c]] += 1
+            assignment = solve_assignment(1.0 - ious, 1.0 - gate)
+            matches = {g_rows[r]: p_cols[c] for r, c in assignment.pairs}
+        fn += len(g_rows) - len(matches)
+        fp += len(p_cols) - len(matches)
+        for g in g_rows:
+            p = matches.get(g)
+            if p is None:
+                lost[g] = last_pred[g] is not None
+                continue
+            id_switches += last_pred[g] is not None and p != last_pred[g]
+            fragmentations += lost[g]
+            last_pred[g], lost[g] = p, False
+    return overlap, fn, fp, id_switches, fragmentations
 
 
-def _identity_overlap(gt: Tracks, pred: Tracks, gate: float) -> np.ndarray:
-    """overlap[g, p]: frames where both exist and their boxes pass the gate."""
-    gt_ids = sorted(gt)
-    pred_ids = sorted(pred)
-    overlap = np.zeros((len(gt_ids), len(pred_ids)), dtype=np.int64)
-    for gi, g in enumerate(gt_ids):
-        for pi, p in enumerate(pred_ids):
-            overlap[gi, pi] = sum(
-                1 for f, box in gt[g].items() if f in pred[p] and iou(box, pred[p][f]) >= gate
-            )
-    return overlap
-
-
-def identity_bijection_overlap(gt: Tracks, pred: Tracks, gate: float) -> int:
-    """Total per-frame overlap of the optimal one-to-one identity mapping.
+def _bijection_overlap(overlap: np.ndarray) -> int:
+    """Total overlap of the optimal one-to-one identity mapping.
 
     A cost-limited solve on ``-overlap`` with zero-overlap pairs forbidden:
     every pair it takes gains, so it maximizes the total overlap, and the
     solver splits identities joined by no overlap into separate components.
     """
-    if not gt or not pred:
+    if overlap.size == 0:
         return 0
-    overlap = _identity_overlap(gt, pred, gate)
     assignment = solve_cost_limited(np.where(overlap > 0, -overlap, np.inf), 0.0)
     return int(sum(overlap[r, c] for r, c in assignment.pairs))
+
+
+def identity_bijection_overlap(gt: Tracks, pred: Tracks, gate: float) -> int:
+    """Total per-frame overlap of the optimal one-to-one identity mapping."""
+    return _bijection_overlap(_one_pass(gt, pred, gate)[0])
 
 
 def evaluate(gt: Tracks, pred: Tracks, iou_gate: float = 0.5) -> EvalReport:
@@ -112,36 +123,13 @@ def evaluate(gt: Tracks, pred: Tracks, iou_gate: float = 0.5) -> EvalReport:
     if n_gt == 0:
         raise ValueError("evaluation requires nonempty ground truth")
     n_pred = sum(len(t) for t in pred.values())
-
-    idtp = identity_bijection_overlap(gt, pred, iou_gate)
+    overlap, fn, fp, id_switches, fragmentations = _one_pass(gt, pred, iou_gate)
+    idtp = _bijection_overlap(overlap)
     idfn = n_gt - idtp
     idfp = n_pred - idtp
-    idf1 = 2.0 * idtp / (2.0 * idtp + idfp + idfn)
-
-    per_frame, counts = _frame_matching(gt, pred, iou_gate)
-
-    id_switches = 0
-    fragmentations = 0
-    for g in sorted(gt):
-        last_pred = None
-        matched_before = False
-        prev_matched = False
-        for f in sorted(gt[g]):
-            pred_id = per_frame.get(f, {}).get(g)
-            if pred_id is not None:
-                if last_pred is not None and pred_id != last_pred:
-                    id_switches += 1
-                if matched_before and not prev_matched:
-                    fragmentations += 1
-                last_pred = pred_id
-                matched_before = True
-                prev_matched = True
-            else:
-                prev_matched = False
-
-    mota_raw = 1.0 - (counts["fn"] + counts["fp"] + id_switches) / n_gt
+    mota_raw = 1.0 - (fn + fp + id_switches) / n_gt
     return EvalReport(
-        idf1=idf1,
+        idf1=2.0 * idtp / (2.0 * idtp + idfp + idfn),
         mota=max(0.0, mota_raw),
         mota_raw=mota_raw,
         id_switches=id_switches,
@@ -149,8 +137,8 @@ def evaluate(gt: Tracks, pred: Tracks, iou_gate: float = 0.5) -> EvalReport:
         idtp=idtp,
         idfp=idfp,
         idfn=idfn,
-        fp=counts["fp"],
-        fn=counts["fn"],
+        fp=fp,
+        fn=fn,
         n_gt_boxes=n_gt,
         n_pred_boxes=n_pred,
     )

@@ -179,32 +179,28 @@ def sweep(
     grid: list[tuple[int, int]],
     base_cfg: PipelineConfig,
     weights: SummarizerWeights | None = None,
-    inters: list[str] | None = None,
 ) -> list[dict]:
-    """Run each (clip size, clip interval) x matcher cell and score it.
+    """Run each (clip size, clip interval) cell and score it.
 
     Per-cell failures do not abort the sweep; the row carries the error text.
     """
     rows: list[dict] = []
     for clip_size, clip_interval in grid:
-        for inter in inters or [base_cfg.inter]:
-            cell = {
-                "clip_size": clip_size,
-                "clip_interval": clip_interval,
-                "intra": base_cfg.intra,
-                "inter": inter,
-                "management": base_cfg.management,
-            }
-            try:
-                cfg = replace(
-                    base_cfg, clip_size=clip_size, clip_interval=clip_interval, inter=inter
-                )
-                tracks = run(detections, cfg, weights)
-                report = evaluate(gt_tracks, tracks_from_global(tracks), base_cfg.iou_threshold)
-                cell.update(status="ok", **asdict(report))
-            except ValueError as err:
-                cell.update(status=f"error: {err}")
-            rows.append(cell)
+        cell = {
+            "clip_size": clip_size,
+            "clip_interval": clip_interval,
+            "intra": base_cfg.intra,
+            "inter": base_cfg.inter,
+            "management": base_cfg.management,
+        }
+        try:
+            cfg = replace(base_cfg, clip_size=clip_size, clip_interval=clip_interval)
+            tracks = run(detections, cfg, weights)
+            report = evaluate(gt_tracks, tracks_from_global(tracks), base_cfg.iou_threshold)
+            cell.update(status="ok", **asdict(report))
+        except ValueError as err:
+            cell.update(status=f"error: {err}")
+        rows.append(cell)
     return rows
 
 

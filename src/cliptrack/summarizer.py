@@ -428,17 +428,13 @@ def _anchor_loss(pos: np.ndarray, neg: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, np.exp(x - loss)
 
 
-def _is_junk(sample) -> bool:
-    """Tracks whose well-localized elements are in the minority no longer
-    carry a dominant identity; they act as pure negatives (the corruption they
-    simulate must not be matched), never as anchors or positives."""
-    return 2 * sum(1 for t in sample.tags if t == "positive") < len(sample.tags)
-
-
 def _anchor_structure(samples) -> list[tuple[int, list[int], list[int]]]:
     """(anchor, positives, negatives) index triples; anchors need >= 1 positive."""
     keys = [(s.video, s.identity) for s in samples]
-    junk = [_is_junk(s) for s in samples]
+    # Tracks whose well-localized elements are in the minority no longer carry
+    # a dominant identity; they act as pure negatives (the corruption they
+    # simulate must not be matched), never as anchors or positives.
+    junk = [not s.dominant for s in samples]
     anchors = []
     for i, key in enumerate(keys):
         if junk[i]:

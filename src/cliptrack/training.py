@@ -26,6 +26,7 @@ from .summarizer import (
 TAG_POSITIVE = "positive"
 TAG_NEGATIVE = "negative"
 TAG_MIXED = "mixed_in"
+POOL_PER_FRAME = 2  # proposals drawn per identity, frame and quality band
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,6 +43,11 @@ class TrainSample:
             raise ValueError("sample track must be a nonempty (L, dim) array")
         if len(self.tags) != self.track.shape[0]:
             raise ValueError("one tag per track element required")
+
+    @property
+    def dominant(self) -> bool:
+        """Whether well-localized (positive) elements are at least half the track."""
+        return 2 * sum(1 for t in self.tags if t == TAG_POSITIVE) >= len(self.tags)
 
 
 @dataclass(frozen=True)
@@ -210,15 +216,11 @@ def _ensure_group_anchors(samples, first, pos_pool, rng, cfg: TrainConfig) -> No
     if not pos_pool:
         return
     group = list(range(first, len(samples)))
-
-    def dominant(s):
-        return 2 * sum(1 for t in s.tags if t == TAG_POSITIVE) >= len(s.tags)
-
-    lacking = 2 - sum(1 for g in group if dominant(samples[g]))
+    lacking = 2 - sum(1 for g in group if samples[g].dominant)
     for g in group:
         if lacking <= 0:
             break
-        if dominant(samples[g]):
+        if samples[g].dominant:
             continue
         length = _draw_length(rng, cfg)
         rows = [pos_pool[rng.randint(len(pos_pool))].embedding for _ in range(length)]
@@ -289,7 +291,7 @@ def scenario_sample_source(
     scenario_configs: list[ScenarioConfig],
     aug: AugmentConfig,
     train_cfg: TrainConfig,
-    pool_per_frame: int = 2,
+    pool_per_frame: int = POOL_PER_FRAME,
 ):
     """Batch sampler over a family of scenarios; one scenario acts as one video.
 

@@ -1,7 +1,9 @@
 """Independent brute-force references the test suite checks the library against.
 
 Everything here is written for clarity over speed and deliberately avoids the
-library's own algorithmic code paths.
+library's own algorithmic code paths, except ``reference_evaluate``: the scorer
+in its earlier three-walk form, which shares the library's IoU and solvers so
+that its reports must match ``metrics.evaluate`` exactly.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from cliptrack.core import iou, solve_assignment, solve_cost_limited
 
 
 def cosine_similarity(a, b) -> float:
@@ -161,3 +165,98 @@ def best_identity_bijection_overlap(overlap: np.ndarray) -> int:
         for rows in itertools.permutations(range(n), m):
             best = max(best, sum(int(overlap[i, j]) for j, i in enumerate(rows)))
     return best
+
+
+# The scorer as it was before the one-pass rewrite of ``metrics.evaluate``: a
+# per-frame matching walk, a G x P x F overlap count, and a per-gt switch walk.
+
+
+def _frame_matching(gt, pred, gate: float):
+    """Per-frame optimal gated matching: frame -> {gt id -> pred id}."""
+    frames = sorted(
+        {f for track in gt.values() for f in track}
+        | {f for track in pred.values() for f in track}
+    )
+    gt_ids = sorted(gt)
+    pred_ids = sorted(pred)
+    per_frame: dict[int, dict[int, int]] = {}
+    counts = {"fp": 0, "fn": 0}
+    for f in frames:
+        g_here = [i for i in gt_ids if f in gt[i]]
+        p_here = [i for i in pred_ids if f in pred[i]]
+        matches: dict[int, int] = {}
+        if g_here and p_here:
+            cost = np.array(
+                [[1.0 - iou(gt[gi][f], pred[pi][f]) for pi in p_here] for gi in g_here]
+            )
+            assignment = solve_assignment(cost, 1.0 - gate)
+            matches = {g_here[r]: p_here[c] for r, c in assignment.pairs}
+        per_frame[f] = matches
+        counts["fn"] += len(g_here) - len(matches)
+        counts["fp"] += len(p_here) - len(matches)
+    return per_frame, counts
+
+
+def _identity_overlap(gt, pred, gate: float) -> np.ndarray:
+    """overlap[g, p]: frames where both exist and their boxes pass the gate."""
+    gt_ids = sorted(gt)
+    pred_ids = sorted(pred)
+    overlap = np.zeros((len(gt_ids), len(pred_ids)), dtype=np.int64)
+    for gi, g in enumerate(gt_ids):
+        for pi, p in enumerate(pred_ids):
+            overlap[gi, pi] = sum(
+                1 for f, box in gt[g].items() if f in pred[p] and iou(box, pred[p][f]) >= gate
+            )
+    return overlap
+
+
+def reference_evaluate(gt, pred, iou_gate: float = 0.5) -> dict:
+    """The three-walk scorer's report, as ``asdict(EvalReport)``."""
+    n_gt = sum(len(t) for t in gt.values())
+    n_pred = sum(len(t) for t in pred.values())
+
+    idtp = 0
+    if gt and pred:
+        overlap = _identity_overlap(gt, pred, iou_gate)
+        assignment = solve_cost_limited(np.where(overlap > 0, -overlap, np.inf), 0.0)
+        idtp = int(sum(overlap[r, c] for r, c in assignment.pairs))
+    idfn = n_gt - idtp
+    idfp = n_pred - idtp
+    idf1 = 2.0 * idtp / (2.0 * idtp + idfp + idfn)
+
+    per_frame, counts = _frame_matching(gt, pred, iou_gate)
+
+    id_switches = 0
+    fragmentations = 0
+    for g in sorted(gt):
+        last_pred = None
+        matched_before = False
+        prev_matched = False
+        for f in sorted(gt[g]):
+            pred_id = per_frame.get(f, {}).get(g)
+            if pred_id is not None:
+                if last_pred is not None and pred_id != last_pred:
+                    id_switches += 1
+                if matched_before and not prev_matched:
+                    fragmentations += 1
+                last_pred = pred_id
+                matched_before = True
+                prev_matched = True
+            else:
+                prev_matched = False
+
+    mota_raw = 1.0 - (counts["fn"] + counts["fp"] + id_switches) / n_gt
+    return dict(
+        idf1=idf1,
+        mota=max(0.0, mota_raw),
+        mota_raw=mota_raw,
+        id_switches=id_switches,
+        fragmentations=fragmentations,
+        idtp=idtp,
+        idfp=idfp,
+        idfn=idfn,
+        fp=counts["fp"],
+        fn=counts["fn"],
+        n_gt_boxes=n_gt,
+        n_pred_boxes=n_pred,
+    )

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -298,6 +299,27 @@ class TestMainEndToEnd:
         loss_lines = (tmp_path / "weights.bin.loss.csv").read_text().splitlines()
         assert loss_lines[0] == "epoch,loss"
         assert len(loss_lines) == 3
+
+    def test_train_manifest_records_resolved_model(self, tmp_path):
+        scen_cfg = tmp_path / "scenario.cfg"
+        write_scenario_cfg(scen_cfg, frames=16, embedding_noise=0.1)
+        train_cfg = tmp_path / "train.cfg"
+        train_cfg.write_text(
+            "epochs = 1\nsteps_per_epoch = 1\nvideos_per_batch = 1\ntracks_per_video = 4\n"
+            "model_dim = 8\nn_layers = 1\nn_heads = 2\nn_videos = 1\nframe_window = 12\n"
+        )
+        weights_path = tmp_path / "weights.bin"
+        code = main(
+            ["train", "--scenario-config", str(scen_cfg), "--out-weights", str(weights_path),
+             "--train-config", str(train_cfg)]
+        )
+        assert code == 0
+        from cliptrack.summarizer import load_weights
+
+        manifest = json.loads((tmp_path / "weights.bin.manifest.json").read_text())
+        model = manifest["config_snapshot"]["model"]
+        assert model["ffn_dim"] == load_weights(weights_path).config.ffn_dim == 32
+        assert model["pool_per_frame"] == 2
 
     def test_simulate_deterministic_outputs(self, tmp_path):
         scen_cfg = tmp_path / "scenario.cfg"

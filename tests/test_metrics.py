@@ -1,11 +1,15 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cliptrack.core import BoundingBox
 from cliptrack.metrics import EvalReport, evaluate, identity_bijection_overlap
 from cliptrack.rng import SplitMix64
 
-from .oracles import best_identity_bijection_overlap
+from .oracles import best_identity_bijection_overlap, reference_evaluate
 
 
 def straight_track(start, n, x0=0.0, y0=0.0, step=5.0):
@@ -78,6 +82,25 @@ class TestEvaluate:
         assert EvalReport.from_json(report.to_json()) == report
         text = report.to_text()
         assert "idf1" in text and "mota" in text
+
+
+# Boxes on a coarse integer grid overlap often, and many pairs land exactly on
+# the gates (for example 16 / 32 = 0.5 and 6 / 20 = 0.3).
+grid_box = st.builds(
+    BoundingBox, *[st.integers(0, 3).map(float)] * 2, *[st.integers(2, 5).map(float)] * 2
+)
+box_map = st.dictionaries(
+    st.integers(0, 5), st.dictionaries(st.integers(0, 11), grid_box, max_size=12), max_size=6
+)
+
+
+class TestAgainstThreeWalkScorer:
+    @settings(max_examples=150, deadline=None)
+    @given(box_map, box_map)
+    def test_report_equals_reference(self, gt, pred):
+        assume(any(gt.values()))
+        for gate in (0.3, 0.5):
+            assert asdict(evaluate(gt, pred, gate)) == reference_evaluate(gt, pred, gate)
 
 
 class TestIdentityBijection:
