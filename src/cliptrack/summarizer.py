@@ -11,7 +11,12 @@ sorted canonically first, which makes the permutation invariance bit-exact.
 Tracks are evaluated in packs (``summarize_tracks``; ``forward_summarize`` is
 the one-track case): the rows of a pack's tracks are stacked for every
 row-wise layer, and attention runs once per bucket of equal-length tracks.  A
-track's summary is bit-identical whatever it is packed with.
+track's summary is bit-identical whatever it is packed with.  ``gradient``
+backpropagates its whole batch in one pass over one pack: each weight gradient
+is one sum over all rows of the batch.  Its last bits differ from those of a
+backward run per track, for two reasons: the sums run in another order, and
+OpenBLAS rounds a product with a transposed operand differently at a few rows
+than inside a stacked product.
 
 The parameters live in one float64 vector, ``SummarizerWeights.flat``, laid
 out once by ``_layout``; every named parameter is a view into it.  Gradients,
@@ -64,10 +69,11 @@ class SummarizerConfig:
     def __post_init__(self):
         if self.ffn_dim == 0:
             object.__setattr__(self, "ffn_dim", 4 * self.model_dim)
+        for name in ("input_dim", "model_dim", "n_layers", "n_heads", "ffn_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.model_dim % self.n_heads != 0:
             raise ValueError("model_dim must be divisible by n_heads")
-        if min(self.input_dim, self.model_dim, self.n_layers, self.n_heads, self.ffn_dim) < 1:
-            raise ValueError("all summarizer dimensions must be >= 1")
 
     @property
     def head_dim(self) -> int:
@@ -191,16 +197,6 @@ def _layer_norm_backward(dout, g, cache):
     return dx, dg, db
 
 
-def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
-    t, cm = x.shape
-    return x.reshape(t, n_heads, cm // n_heads).transpose(1, 0, 2)
-
-
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    h, t, dh = x.shape
-    return x.transpose(1, 0, 2).reshape(t, h * dh)
-
-
 def canonical_order(track: np.ndarray) -> np.ndarray:
     """Lexicographic row order; makes the set-function evaluation canonical."""
     return track[np.lexsort(track.T[::-1])]
@@ -212,14 +208,20 @@ class _Pack:
 
     The rows of all tracks, each track led by its token row, are stacked in
     order of ascending track length, so the tracks of one length form a
-    contiguous bucket.  ``place[i]`` is (token row, bucket, position in bucket)
-    of input track ``i``.  Per layer, ``rows`` holds the stacked row-wise
-    activations and ``heads`` one (qh, kh, vh, a) tuple per bucket, each of
-    shape (tracks, heads, rows per track, ...).
+    contiguous bucket.  ``buckets`` holds (first row, track indices, rows per
+    track) of each bucket, and ``tokens[i]`` the token row of input track
+    ``i``.  Per layer, ``layers`` holds the stacked row-wise activations and
+    one (qh, kh, vh, a) tuple per bucket, each of shape (tracks, heads, rows
+    per track, ...).
+
+    ``_backward`` walks the whole pack once, popping each layer's cache as it
+    passes it.  Its weight gradients are sums over all rows of the pack, so
+    they differ in the last bits from sums taken per track and then added.
     """
 
     tracks: list[np.ndarray]
-    place: list[tuple[int, int, int]]
+    tokens: list[int]
+    buckets: list[tuple[int, list[int], int]]
     layers: list[tuple[tuple[np.ndarray, ...], list[tuple[np.ndarray, ...]]]]
     z: np.ndarray
 
@@ -237,13 +239,13 @@ def _forward(weights: SummarizerWeights, tracks: list[np.ndarray], keep_cache: b
     cfg = weights.config
     cm, n_heads, dh = cfg.model_dim, cfg.n_heads, cfg.head_dim
     order = sorted(range(len(tracks)), key=lambda i: len(tracks[i]))
-    place = [(0, 0, 0)] * len(tracks)
-    buckets = []  # (first row, tracks, rows per track)
+    tokens = [0] * len(tracks)
+    buckets = []
     row = 0
     for length, group in itertools.groupby(order, key=lambda i: len(tracks[i]) + 1):
         group = list(group)
         for j, i in enumerate(group):
-            place[i] = (row + j * length, len(buckets), j)
+            tokens[i] = row + j * length
         buckets.append((row, group, length))
         row += len(group) * length
 
@@ -287,31 +289,27 @@ def _forward(weights: SummarizerWeights, tracks: list[np.ndarray], keep_cache: b
         z = z_mid + gact @ layer.w2 + layer.b2
         if keep_cache:
             layers.append(((y1, xhat1, inv1, mh, y2, xhat2, inv2, u, gact, t), heads))
-    outs = np.stack([z[r] @ weights.w_out + weights.b_out for r, _, _ in place])
-    return outs, _Pack(tracks, place, layers, z) if keep_cache else None
+    outs = np.stack([z[r] @ weights.w_out + weights.b_out for r in tokens])
+    return outs, _Pack(tracks, tokens, buckets, layers, z) if keep_cache else None
 
 
-def _backward(
-    weights: SummarizerWeights, pack: _Pack, i: int, dout: np.ndarray, grads: SummarizerWeights
-):
-    """Accumulate into ``grads`` the gradient of ``dout . summary`` of track ``i`` of ``pack``."""
+def _backward(weights: SummarizerWeights, pack: _Pack, dout: np.ndarray, grads: SummarizerWeights):
+    """Accumulate into ``grads`` the gradient of ``sum_i dout[i] . summary_i``
+    over the tracks of ``pack``, in one pass; consumes ``pack.layers``."""
     cfg = weights.config
-    track = pack.tracks[i]
-    r0, bucket, j = pack.place[i]
-    r1 = r0 + len(track) + 1
-    t0 = pack.z[r0]
-    scale = 1.0 / math.sqrt(cfg.head_dim)
+    cm, n_heads, dh = cfg.model_dim, cfg.n_heads, cfg.head_dim
+    scale = 1.0 / math.sqrt(dh)
 
-    grads.w_out += np.outer(t0, dout)
-    grads.b_out += dout
-    dz = np.zeros((r1 - r0, cfg.model_dim))
-    dz[0] = weights.w_out @ dout
+    grads.w_out += pack.z[pack.tokens].T @ dout
+    grads.b_out += dout.sum(axis=0)
+    dz = np.zeros_like(pack.z)
+    # With a transposed operand, OpenBLAS rounds a product of a few rows
+    # differently from the same rows inside a stacked product, so this pass
+    # cannot match a per-track backward bit for bit, whatever its sum order.
+    dz[pack.tokens] = dout @ weights.w_out.T
 
-    for layer, layer_grads, (rows, heads) in zip(
-        reversed(weights.layers), reversed(grads.layers), reversed(pack.layers)
-    ):
-        y1, xhat1, inv1, mh, y2, xhat2, inv2, u, gact, t = (m[r0:r1] for m in rows)
-        qh, kh, vh, a = (m[j] for m in heads[bucket])
+    for layer, layer_grads in zip(reversed(weights.layers), reversed(grads.layers)):
+        (y1, xhat1, inv1, mh, y2, xhat2, inv2, u, gact, t), heads = pack.layers.pop()
         # feed-forward block
         df = dz
         layer_grads.w2 += gact.T @ df
@@ -324,19 +322,20 @@ def _backward(
         layer_grads.ln2_g += dg2
         layer_grads.ln2_b += db2
         dz_mid = dz + dz_ln2
-        # attention block
+        # attention block, once per bucket of equal-length tracks
         do = dz_mid
         layer_grads.wo += mh.T @ do
         layer_grads.bo += do.sum(axis=0)
-        doh = _split_heads(do @ layer.wo.T, cfg.n_heads)
-        da = doh @ vh.transpose(0, 2, 1)
-        dvh = a.transpose(0, 2, 1) @ doh
-        ds = (da - (da * a).sum(axis=-1, keepdims=True)) * a * scale
-        dqh = ds @ kh
-        dkh = ds.transpose(0, 2, 1) @ qh
-        dq = _merge_heads(dqh)
-        dk = _merge_heads(dkh)
-        dv = _merge_heads(dvh)
+        dmh = do @ layer.wo.T
+        dq, dk, dv = (np.empty_like(dmh) for _ in range(3))
+        for (r0, group, length), (qh, kh, vh, a) in zip(pack.buckets, heads):
+            r1 = r0 + len(group) * length
+            doh = dmh[r0:r1].reshape(len(group), length, n_heads, dh).transpose(0, 2, 1, 3)
+            da = doh @ vh.transpose(0, 1, 3, 2)
+            dvh = a.transpose(0, 1, 3, 2) @ doh
+            ds = (da - (da * a).sum(axis=-1, keepdims=True)) * a * scale
+            for m, gh in ((dq, ds @ kh), (dk, ds.transpose(0, 1, 3, 2) @ qh), (dv, dvh)):
+                m[r0:r1] = gh.transpose(0, 2, 1, 3).reshape(r1 - r0, cm)
         layer_grads.wq += y1.T @ dq
         layer_grads.bq += dq.sum(axis=0)
         layer_grads.wk += y1.T @ dk
@@ -349,9 +348,12 @@ def _backward(
         layer_grads.ln1_b += db1
         dz = dz_mid + dz_ln1
 
-    grads.token += dz[0]
-    dx = dz[1:]
-    grads.w_in += track.T @ dx
+    grads.token += dz[pack.tokens].sum(axis=0)
+    inputs = np.ones(len(dz), dtype=bool)
+    inputs[pack.tokens] = False
+    dx = dz[inputs]
+    x = np.concatenate([pack.tracks[i] for _, group, _ in pack.buckets for i in group])
+    grads.w_in += x.T @ dx
     grads.b_in += dx.sum(axis=0)
 
 
@@ -497,13 +499,13 @@ def gradient(
         raise ValueError("no sample in the batch has a same-identity positive")
 
     outs, pack = _forward(weights, [_as_track_matrix(weights, s.track) for s in samples])
-    norms = [float(np.linalg.norm(u)) for u in outs]
-    z = [u / n for u, n in zip(outs, norms)]
+    norms = np.array([float(np.linalg.norm(u)) for u in outs])
+    z = outs / norms[:, None]
 
     losses, pair_w = _loss_terms(z, anchors, 1.0 / loss_temperature)
     loss = float(np.mean(losses))
 
-    dz = [np.zeros_like(z[0]) for _ in samples]
+    dz = np.zeros_like(z)
     inv_a = 1.0 / len(anchors)
     for (i, pos, neg), w in zip(anchors, pair_w):
         if w is None:
@@ -520,11 +522,9 @@ def gradient(
         dz[i] += inv_a * acc
 
     grads = weights.zeros_like()
-    for s_idx, g in enumerate(dz):
-        if not g.any():
-            continue
-        du = (g - (g @ z[s_idx]) * z[s_idx]) / norms[s_idx]
-        _backward(weights, pack, s_idx, du, grads)
+    # rows of samples outside every anchor's loss stay zero
+    dout = (dz - np.einsum("ij,ij->i", dz, z)[:, None] * z) / norms[:, None]
+    _backward(weights, pack, dout, grads)
     return grads, loss
 
 

@@ -1,9 +1,12 @@
 """Independent brute-force references the test suite checks the library against.
 
 Everything here is written for clarity over speed and deliberately avoids the
-library's own algorithmic code paths, except ``reference_evaluate``: the scorer
-in its earlier three-walk form, which shares the library's IoU and solvers so
-that its reports must match ``metrics.evaluate`` exactly.
+library's own algorithmic code paths, except two earlier forms of library
+code.  ``reference_evaluate`` is the scorer in its three-walk form; it shares
+the library's IoU and solvers, so its reports must match ``metrics.evaluate``
+exactly.  ``reference_gradient`` is the summarizer gradient with one backward
+per track; it shares the library's forward and loss, and matches
+``summarizer.gradient`` up to the last bits of its sums.
 """
 
 from __future__ import annotations
@@ -15,6 +18,14 @@ from fractions import Fraction
 import numpy as np
 
 from cliptrack.core import iou, solve_assignment, solve_cost_limited
+from cliptrack.summarizer import (
+    _anchor_structure,
+    _as_track_matrix,
+    _forward,
+    _gelu_grad,
+    _layer_norm_backward,
+    _loss_terms,
+)
 
 
 def cosine_similarity(a, b) -> float:
@@ -260,3 +271,123 @@ def reference_evaluate(gt, pred, iou_gate: float = 0.5) -> dict:
         n_gt_boxes=n_gt,
         n_pred_boxes=n_pred,
     )
+
+
+# The summarizer's backward as it was before it ran once per pack: one pass per
+# track, over that track's rows and its slice of its bucket's attention cache.
+# It reuses the library's forward, loss terms and layer-norm and GELU backward.
+
+
+def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    t, cm = x.shape
+    return x.reshape(t, n_heads, cm // n_heads).transpose(1, 0, 2)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    h, t, dh = x.shape
+    return x.transpose(1, 0, 2).reshape(t, h * dh)
+
+
+def _backward(weights, pack, place, i: int, dout: np.ndarray, grads):
+    """Accumulate into ``grads`` the gradient of ``dout . summary`` of track ``i`` of ``pack``."""
+    cfg = weights.config
+    track = pack.tracks[i]
+    r0, bucket, j = place[i]
+    r1 = r0 + len(track) + 1
+    t0 = pack.z[r0]
+    scale = 1.0 / math.sqrt(cfg.head_dim)
+
+    grads.w_out += np.outer(t0, dout)
+    grads.b_out += dout
+    dz = np.zeros((r1 - r0, cfg.model_dim))
+    dz[0] = weights.w_out @ dout
+
+    for layer, layer_grads, (rows, heads) in zip(
+        reversed(weights.layers), reversed(grads.layers), reversed(pack.layers)
+    ):
+        y1, xhat1, inv1, mh, y2, xhat2, inv2, u, gact, t = (m[r0:r1] for m in rows)
+        qh, kh, vh, a = (m[j] for m in heads[bucket])
+        # feed-forward block
+        df = dz
+        layer_grads.w2 += gact.T @ df
+        layer_grads.b2 += df.sum(axis=0)
+        du = (df @ layer.w2.T) * _gelu_grad(u, t)
+        layer_grads.w1 += y2.T @ du
+        layer_grads.b1 += du.sum(axis=0)
+        dy2 = du @ layer.w1.T
+        dz_ln2, dg2, db2 = _layer_norm_backward(dy2, layer.ln2_g, (xhat2, inv2))
+        layer_grads.ln2_g += dg2
+        layer_grads.ln2_b += db2
+        dz_mid = dz + dz_ln2
+        # attention block
+        do = dz_mid
+        layer_grads.wo += mh.T @ do
+        layer_grads.bo += do.sum(axis=0)
+        doh = _split_heads(do @ layer.wo.T, cfg.n_heads)
+        da = doh @ vh.transpose(0, 2, 1)
+        dvh = a.transpose(0, 2, 1) @ doh
+        ds = (da - (da * a).sum(axis=-1, keepdims=True)) * a * scale
+        dqh = ds @ kh
+        dkh = ds.transpose(0, 2, 1) @ qh
+        dq = _merge_heads(dqh)
+        dk = _merge_heads(dkh)
+        dv = _merge_heads(dvh)
+        layer_grads.wq += y1.T @ dq
+        layer_grads.bq += dq.sum(axis=0)
+        layer_grads.wk += y1.T @ dk
+        layer_grads.bk += dk.sum(axis=0)
+        layer_grads.wv += y1.T @ dv
+        layer_grads.bv += dv.sum(axis=0)
+        dy1 = dq @ layer.wq.T + dk @ layer.wk.T + dv @ layer.wv.T
+        dz_ln1, dg1, db1 = _layer_norm_backward(dy1, layer.ln1_g, (xhat1, inv1))
+        layer_grads.ln1_g += dg1
+        layer_grads.ln1_b += db1
+        dz = dz_mid + dz_ln1
+
+    grads.token += dz[0]
+    dx = dz[1:]
+    grads.w_in += track.T @ dx
+    grads.b_in += dx.sum(axis=0)
+
+
+def reference_gradient(weights, samples, loss_temperature: float = 0.1):
+    """``summarizer.gradient`` with one backward per sample; returns (grads, loss)."""
+    anchors = _anchor_structure(samples)
+    if not anchors:
+        raise ValueError("no sample in the batch has a same-identity positive")
+
+    outs, pack = _forward(weights, [_as_track_matrix(weights, s.track) for s in samples])
+    # (token row, bucket, position in bucket) of each input track
+    place = [None] * len(samples)
+    for b, (r0, group, length) in enumerate(pack.buckets):
+        for j, i in enumerate(group):
+            place[i] = (r0 + j * length, b, j)
+    norms = [float(np.linalg.norm(u)) for u in outs]
+    z = [u / n for u, n in zip(outs, norms)]
+
+    losses, pair_w = _loss_terms(z, anchors, 1.0 / loss_temperature)
+    loss = float(np.mean(losses))
+
+    dz = [np.zeros_like(z[0]) for _ in samples]
+    inv_a = 1.0 / len(anchors)
+    for (i, pos, neg), w in zip(anchors, pair_w):
+        if w is None:
+            continue
+        w_per_neg = w.sum(axis=0)  # over positives
+        w_per_pos = w.sum(axis=1)  # over negatives
+        acc = np.zeros_like(z[i])
+        for jn, wn in zip(neg, w_per_neg):
+            acc += wn * z[jn]
+            dz[jn] += inv_a * wn * z[i]
+        for jp, wp in zip(pos, w_per_pos):
+            acc -= wp * z[jp]
+            dz[jp] -= inv_a * wp * z[i]
+        dz[i] += inv_a * acc
+
+    grads = weights.zeros_like()
+    for s_idx, g in enumerate(dz):
+        if not g.any():
+            continue
+        du = (g - (g @ z[s_idx]) * z[s_idx]) / norms[s_idx]
+        _backward(weights, pack, place, s_idx, du, grads)
+    return grads, loss

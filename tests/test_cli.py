@@ -377,13 +377,17 @@ class TestExitCodes:
             ("scattered_mixup = true", "scattered_mixup"),
             ("deterministic = true", "deterministic"),
             ("group_size = 0", "group_size"),
+            ("n_heads = 0", "n_heads"),
+            ("model_dim = 0", "model_dim"),
         ],
     )
     def test_bad_train_key_is_data_error(self, tmp_path, capsys, line, field):
         scen_cfg = tmp_path / "scenario.cfg"
         write_scenario_cfg(scen_cfg, frames=16)
         train_cfg = tmp_path / "train.cfg"
-        train_cfg.write_text(f"epochs = 1\nsteps_per_epoch = 1\nmodel_dim = 8\nn_heads = 2\n{line}\n")
+        base = {"epochs": 1, "steps_per_epoch": 1, "model_dim": 8, "n_heads": 2}
+        base.pop(line.split("=")[0].strip(), None)  # the case's line sets that key
+        train_cfg.write_text("".join(f"{k} = {v}\n" for k, v in base.items()) + f"{line}\n")
         code = main(
             ["train", "--scenario-config", str(scen_cfg), "--out-weights",
              str(tmp_path / "w.bin"), "--train-config", str(train_cfg)]

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliptrack.rng import SplitMix64, unit_vector
 from cliptrack.summarizer import (
@@ -23,9 +25,10 @@ from cliptrack.summarizer import (
 )
 from cliptrack.training import TrainSample
 
-from .oracles import finite_difference_gradient
+from .oracles import finite_difference_gradient, reference_gradient
 
 SMALL = SummarizerConfig(input_dim=6, model_dim=8, n_layers=2, n_heads=2)
+DEEP = SummarizerConfig(input_dim=6, model_dim=16, n_layers=3, n_heads=8)
 
 
 def random_track(rng, length, dim=6):
@@ -82,6 +85,13 @@ class TestForwardSummarize:
         w = init_weights(SMALL, 0)
         out = forward_summarize(w, np.ones(6))
         assert out.shape == (8,)
+
+
+class TestSummarizerConfig:
+    @pytest.mark.parametrize("field", ["n_heads", "model_dim"])
+    def test_zero_dimension_rejected_naming_field(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            SummarizerConfig(**{"input_dim": 6, field: 0})
 
 
 def random_weights(cfg, seed):
@@ -285,6 +295,46 @@ class TestGradient:
         ]
         with pytest.raises(ValueError):
             gradient(w, batch)
+
+
+@st.composite
+def gradient_cases(draw):
+    """(weights, samples): tracks of length 1-12 whose first three share a
+    bucket, later ones often alone in theirs.  Samples 0 and 1 (identity 0)
+    make an anchor and sample 2 its negative; later ones may be junk, other
+    identities or another video.  An identity with no positive may follow (a
+    negative only).  With ``one_identity`` no anchor has a negative, so every
+    sample's loss gradient is zero."""
+    cfg = draw(st.sampled_from([SMALL, DEEP]))
+    one_identity = draw(st.integers(0, 5)) == 0
+    rng = SplitMix64(draw(st.integers(0, 2**32)))
+    shared = draw(st.integers(1, 12))
+    samples = []
+    for k in range(draw(st.integers(3, 9))):
+        length = shared if k < 3 else draw(st.integers(1, 12))
+        identity, video, junk = int(k == 2 and not one_identity), 0, False
+        if k >= 3 and not one_identity:
+            identity, video = draw(st.integers(0, 2)), draw(st.integers(0, 1))
+            junk = draw(st.booleans())
+        tags = ("negative",) * length if junk else ("positive",) * length
+        samples.append(TrainSample(random_track(rng, length), tags, identity, video))
+    if not one_identity and draw(st.booleans()):
+        length = draw(st.integers(1, 12))
+        samples.append(TrainSample(random_track(rng, length), ("positive",) * length, 9, 0))
+    return random_weights(cfg, draw(st.integers(0, 2**32))), samples
+
+
+class TestPackedBackward:
+    """The one-pass backward against a backward run once per track."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(gradient_cases())
+    def test_matches_per_track_reference(self, case):
+        w, samples = case
+        grads, loss = gradient(w, samples)
+        ref, ref_loss = reference_gradient(w, samples)
+        assert loss == ref_loss
+        assert np.abs(grads.flat - ref.flat).max() <= 1e-12 * np.abs(ref.flat).max()
 
 
 class TestSerialization:
