@@ -11,7 +11,10 @@ sorted canonically first, which makes the permutation invariance bit-exact.
 Tracks are evaluated in packs (``summarize_tracks``; ``forward_summarize`` is
 the one-track case): the rows of a pack's tracks are stacked for every
 row-wise layer, and attention runs once per bucket of equal-length tracks.  A
-track's summary is bit-identical whatever it is packed with.  ``gradient``
+track's summary is bit-identical whatever it is packed with.  Inference
+writes every activation into one workspace per ``summarize_tracks`` call,
+reused by all its packs, and runs the top layer past its attention on the
+token rows alone, the only rows the output layer reads.  ``gradient``
 backpropagates its whole batch in one pass over one pack: each weight gradient
 is one sum over all rows of the batch.  Its last bits differ from those of a
 backward run per track, for two reasons: the sums run in another order, and
@@ -48,10 +51,11 @@ _LN_EPS = 1e-6
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
-# Rows per packed forward in ``summarize_tracks``.  Without a cache a pack's
-# working set peaks near 24 KB per row at model_dim 64, so this bounds it near
-# 6 MB.  A clip of short histories still fits in one pack, and 1000-row packs
-# were no faster.
+# Rows per packed forward in ``summarize_tracks``.  Its workspace holds about
+# 12.5 KB per row at model_dim 64 (eight model_dim-wide and four ffn_dim-wide
+# buffers), plus the largest bucket's attention scores, so this bounds it near
+# 3.6 MB.  A clip of short histories still fits in one pack, and 1000-row
+# packs were no faster.
 _PACK_ROWS = 256
 
 WEIGHTS_MAGIC = b"CTSUMRZ1"
@@ -166,25 +170,94 @@ def init_weights(cfg: SummarizerConfig, seed: int) -> SummarizerWeights:
 # --- forward / backward ------------------------------------------------------
 
 
-def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fresh(_role: str, *shape: int) -> np.ndarray:
+    """The allocator of a forward without workspace: a new array per request."""
+    return np.empty(shape)
+
+
+class _Workspace:
+    """Activation buffers of the no-cache forward, shared by the packs of one
+    ``summarize_tracks`` call.
+
+    ``ws(role, *shape)`` returns a view of the start of the role's buffer,
+    which grows to the largest request made of it.  Requests of one role share
+    memory, so the forward asks for a role again only once its last value is
+    dead.  Reusing the buffers spares each pack the page faults of fresh
+    pack-sized temporaries, most of them above glibc's mmap threshold.
+    """
+
+    def __init__(self):
+        self._bufs: dict[str, np.ndarray] = {}
+
+    def __call__(self, role: str, *shape: int) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._bufs.get(role)
+        if buf is None or buf.size < size:
+            buf = self._bufs[role] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``x @ w + b``, written into ``out``."""
+    np.matmul(x, w, out=out)
+    out += b
+    return out
+
+
+def _gelu(x: np.ndarray, buf=_fresh) -> tuple[np.ndarray, np.ndarray]:
     """tanh-form GELU of ``x``, and the tanh it evaluates (the backward reuses it).
 
     The cube is ``x * x * x``: ``x**3`` goes through ``pow`` and costs ~40x more.
+    Every step runs in place in buffers from ``buf``, in the operation order of
+    ``t = tanh(C * (x + A * (x * x * x)))`` and ``0.5 * x * (1 + t)``.
     """
-    t = np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
-    return 0.5 * x * (1.0 + t), t
+    t = np.multiply(x, x, out=buf("t", *x.shape))
+    t *= x
+    t *= _GELU_A
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = np.multiply(x, 0.5, out=buf("gact", *x.shape))
+    out *= np.add(t, 1.0, out=buf("gelu", *x.shape))
+    return out, t
 
 
 def _gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * _GELU_C * (1.0 + 3.0 * _GELU_A * x**2)
+    """GELU'(x) from ``x`` and the tanh ``t`` that ``_gelu`` kept, written over
+    ``t``; ``x`` is overwritten too.  The bits are those of
+    ``0.5 * (1 + t) + 0.5 * x * (1 - t**2) * C * (1 + 3 * A * x**2)``, with two
+    temporaries besides ``x`` and ``t``."""
+    s = np.square(x)
+    s *= 3.0 * _GELU_A
+    s += 1.0
+    h = np.square(t)
+    np.subtract(1.0, h, out=h)
+    t += 1.0
+    t *= 0.5
+    x *= 0.5
+    x *= h
+    x *= _GELU_C
+    x *= s
+    t += x
+    return t
 
 
-def _layer_norm(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    inv = 1.0 / np.sqrt((xc**2).mean(axis=-1, keepdims=True) + _LN_EPS)
-    xhat = xc * inv
-    return g * xhat + b, (xhat, inv)
+def _layer_norm(x, g, b, buf):
+    """Per-row layer norm ``g * xhat + b``; returns (y, xhat, inv), where
+    ``xhat = (x - mean) * inv`` and ``inv = 1 / sqrt(var + eps)``."""
+    n, width = x.shape
+    inv = np.mean(x, axis=-1, keepdims=True, out=buf("inv", n, 1))  # the mean, until inv
+    xhat = np.subtract(x, inv, out=buf("xhat", n, width))
+    y = np.square(xhat, out=buf("y", n, width))
+    np.mean(y, axis=-1, keepdims=True, out=inv)
+    inv += _LN_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(g, xhat, out=y)
+    y += b
+    return y, xhat, inv
+
 
 def _layer_norm_backward(dout, g, cache):
     xhat, inv = cache
@@ -226,18 +299,27 @@ class _Pack:
     z: np.ndarray
 
 
-def _forward(weights: SummarizerWeights, tracks: list[np.ndarray], keep_cache: bool = True):
+def _forward(weights: SummarizerWeights, tracks: list[np.ndarray], ws: _Workspace | None = None):
     """Summaries (n, model_dim) of a nonempty list of track matrices, and the
-    cache for ``_backward`` (None unless ``keep_cache``).
+    cache for ``_backward`` (None when a workspace ``ws`` is given).
 
     Every row-wise layer runs once over the stacked rows and attention once per
     bucket of equal-length tracks.  A track's summary does not depend on its
     pack-mates: products only ever stack whole rows, and a 1-row product (a
     length-1 track's input projection, the output projection) stays a vector
     product, since a stacked gemm row can differ from gemv in the last bit.
+
+    Without a workspace every activation is a new array, kept for the
+    backward.  With one, every activation is written into its buffers, and the
+    top layer stops at the token rows: after its attention, which needs every
+    row's keys and values, only the token rows go on to ``w_out``.  A lone
+    token row is stacked twice there, so that its products stay stacked gemms.
+    The summaries are the same bit for bit either way.
     """
     cfg = weights.config
     cm, n_heads, dh = cfg.model_dim, cfg.n_heads, cfg.head_dim
+    keep_cache = ws is None
+    buf = _fresh if keep_cache else ws
     order = sorted(range(len(tracks)), key=lambda i: len(tracks[i]))
     tokens = [0] * len(tracks)
     buckets = []
@@ -249,7 +331,7 @@ def _forward(weights: SummarizerWeights, tracks: list[np.ndarray], keep_cache: b
         buckets.append((row, group, length))
         row += len(group) * length
 
-    z = np.empty((row, cm))
+    z = buf("z", row, cm)
     for r0, group, length in buckets:
         zb = z[r0 : r0 + len(group) * length].reshape(len(group), length, cm)
         zb[:, 0] = weights.token
@@ -257,39 +339,55 @@ def _forward(weights: SummarizerWeights, tracks: list[np.ndarray], keep_cache: b
             for j, i in enumerate(group):
                 zb[j, 1] = tracks[i] @ weights.w_in + weights.b_in
         else:
-            x = np.concatenate([tracks[i] for i in group]) @ weights.w_in + weights.b_in
+            x = np.concatenate(
+                [tracks[i] for i in group], out=buf("x", len(group) * (length - 1), cfg.input_dim)
+            )
+            x = _affine(x, weights.w_in, weights.b_in, buf("proj", len(x), cm))
             zb[:, 1:] = x.reshape(len(group), length - 1, cm)
 
     scale = 1.0 / math.sqrt(dh)
     layers = []
-    for layer in weights.layers:
-        y1, (xhat1, inv1) = _layer_norm(z, layer.ln1_g, layer.ln1_b)
-        q = y1 @ layer.wq + layer.bq
-        k = y1 @ layer.wk + layer.bk
-        v = y1 @ layer.wv + layer.bv
-        mh = np.empty_like(q)
+    out_rows = tokens
+    for depth, layer in enumerate(weights.layers, 1):
+        n = len(z)
+        y1, xhat1, inv1 = _layer_norm(z, layer.ln1_g, layer.ln1_b, buf)
+        q, k, v = (
+            _affine(y1, w, b, buf(role, n, cm))
+            for role, w, b in (("q", layer.wq, layer.bq), ("k", layer.wk, layer.bk),
+                               ("v", layer.wv, layer.bv))
+        )
+        mh = buf("mh", n, cm)
         heads = []
         for r0, group, length in buckets:
-            r1 = r0 + len(group) * length
+            g, r1 = len(group), r0 + len(group) * length
             qh, kh, vh = (
-                m[r0:r1].reshape(len(group), length, n_heads, dh).transpose(0, 2, 1, 3)
+                m[r0:r1].reshape(g, length, n_heads, dh).transpose(0, 2, 1, 3)
                 for m in (q, k, v)
             )
-            s = qh @ kh.transpose(0, 1, 3, 2) * scale
-            s -= s.max(axis=-1, keepdims=True)
-            a = np.exp(s)
-            a /= a.sum(axis=-1, keepdims=True)
-            mh[r0:r1] = (a @ vh).transpose(0, 2, 1, 3).reshape(r1 - r0, cm)
+            a = np.matmul(qh, kh.transpose(0, 1, 3, 2), out=buf("scores", g, n_heads, length, length))
+            a *= scale
+            m = np.max(a, axis=-1, keepdims=True, out=buf("rowmax", g, n_heads, length, 1))
+            a -= m
+            np.exp(a, out=a)
+            a /= np.sum(a, axis=-1, keepdims=True, out=m)
+            np.matmul(a, vh, out=mh[r0:r1].reshape(g, length, n_heads, dh).transpose(0, 2, 1, 3))
             if keep_cache:
                 heads.append((qh, kh, vh, a))
-        z_mid = z + mh @ layer.wo + layer.bo
-        y2, (xhat2, inv2) = _layer_norm(z_mid, layer.ln2_g, layer.ln2_b)
-        u = y2 @ layer.w1 + layer.b1
-        gact, t = _gelu(u)
-        z = z_mid + gact @ layer.w2 + layer.b2
+        if not keep_cache and depth == cfg.n_layers:
+            # only the token rows reach w_out; a lone one is doubled (see above)
+            rows = tokens * 2 if len(tokens) == 1 else tokens
+            z, mh = z[rows], mh[rows]
+            out_rows = range(len(tokens))
+        z += np.matmul(mh, layer.wo, out=buf("proj", len(z), cm))
+        z += layer.bo
+        y2, xhat2, inv2 = _layer_norm(z, layer.ln2_g, layer.ln2_b, buf)
+        u = _affine(y2, layer.w1, layer.b1, buf("u", len(z), cfg.ffn_dim))
+        gact, t = _gelu(u, buf)
+        z += np.matmul(gact, layer.w2, out=buf("proj", len(z), cm))
+        z += layer.b2
         if keep_cache:
             layers.append(((y1, xhat1, inv1, mh, y2, xhat2, inv2, u, gact, t), heads))
-    outs = np.stack([z[r] @ weights.w_out + weights.b_out for r in tokens])
+    outs = np.stack([z[r] @ weights.w_out + weights.b_out for r in out_rows])
     return outs, _Pack(tracks, tokens, buckets, layers, z) if keep_cache else None
 
 
@@ -314,7 +412,12 @@ def _backward(weights: SummarizerWeights, pack: _Pack, dout: np.ndarray, grads: 
         df = dz
         layer_grads.w2 += gact.T @ df
         layer_grads.b2 += df.sum(axis=0)
-        du = (df @ layer.w2.T) * _gelu_grad(u, t)
+        # GELU'(u) over t, formed before du so that fewer (rows, ffn_dim)
+        # arrays are alive at once; u and t are dropped once du exists
+        dgelu = _gelu_grad(u, t)
+        du = df @ layer.w2.T
+        du *= dgelu
+        del u, gact, t, dgelu
         layer_grads.w1 += y2.T @ du
         layer_grads.b1 += du.sum(axis=0)
         dy2 = du @ layer.w1.T
@@ -380,15 +483,16 @@ def summarize_tracks(weights: SummarizerWeights, tracks) -> np.ndarray:
     """
     mats = [_as_track_matrix(weights, t) for t in tracks]
     outs = np.empty((len(mats), weights.config.model_dim))
+    ws = _Workspace()
     pack, rows = [], 0
     for i in sorted(range(len(mats)), key=lambda i: len(mats[i])):
         if pack and rows + len(mats[i]) + 1 > _PACK_ROWS:
-            outs[pack] = _forward(weights, [mats[j] for j in pack], keep_cache=False)[0]
+            outs[pack] = _forward(weights, [mats[j] for j in pack], ws)[0]
             pack, rows = [], 0
         pack.append(i)
         rows += len(mats[i]) + 1
     if pack:
-        outs[pack] = _forward(weights, [mats[j] for j in pack], keep_cache=False)[0]
+        outs[pack] = _forward(weights, [mats[j] for j in pack], ws)[0]
     return outs
 
 
@@ -559,4 +663,11 @@ def load_weights(path) -> SummarizerWeights:
             raise ValueError("truncated weights file")
         if fh.read(1):
             raise ValueError("trailing bytes in weights file")
-    return SummarizerWeights(cfg, np.frombuffer(buf, dtype="<f8").astype(np.float64))
+    flat = np.frombuffer(buf, dtype="<f8").astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        layout = _layout(cfg)
+        ends = np.cumsum([math.prod(shape) for _, shape in layout])
+        name = layout[int(np.searchsorted(ends, bad[0], side="right"))][0]
+        raise ValueError(f"{path}: parameter {name} holds a non-finite value ({flat[bad[0]]})")
+    return SummarizerWeights(cfg, flat)

@@ -23,6 +23,7 @@ from cliptrack.cli import (
 )
 from cliptrack.core import BoundingBox, Detection, GlobalTrack
 from cliptrack.metrics import EvalReport
+from cliptrack.summarizer import SummarizerConfig, init_weights, save_weights
 
 
 def det(frame, x=10.0, score=0.9, source=0, dim=4):
@@ -394,6 +395,24 @@ class TestExitCodes:
         )
         assert code == 2
         assert field in capsys.readouterr().err
+
+    def test_non_finite_weights_are_data_error(self, tmp_path, capsys):
+        scen_cfg = tmp_path / "scenario.cfg"
+        write_scenario_cfg(scen_cfg)
+        out_dir = tmp_path / "sim"
+        main(["simulate", "--config", str(scen_cfg), "--out-dir", str(out_dir)])
+        weights = init_weights(SummarizerConfig(input_dim=8, model_dim=8, n_heads=2), 0)
+        weights.layers[2].w1[3, 1] = np.nan
+        save_weights(weights, tmp_path / "w.bin")
+        pipe_cfg = tmp_path / "pipeline.cfg"
+        write_pipeline_cfg(pipe_cfg, inter="clip_tracker", weights_path=tmp_path / "w.bin")
+        code = main(
+            ["track", "--dets", str(out_dir / "dets.txt"), "--embs", str(out_dir / "embs.txt"),
+             "--config", str(pipe_cfg), "--out", str(tmp_path / "pred.txt")]
+        )
+        assert code == 2
+        assert f"{tmp_path / 'w.bin'}: parameter layers.2.w1" in capsys.readouterr().err
+        assert not (tmp_path / "pred.txt").exists()
 
     @pytest.mark.parametrize(
         "which, line, key",

@@ -1,16 +1,20 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cliptrack.rng import SplitMix64, unit_vector
 from cliptrack.summarizer import (
     _GELU_A,
     _GELU_C,
+    _PACK_ROWS,
     SummarizerConfig,
+    _as_track_matrix,
+    _forward,
     _gelu,
     batch_loss,
     contrastive_loss,
@@ -152,6 +156,16 @@ class TestSummarizeTracks:
             for row, track in enumerate(tracks):
                 assert np.array_equal(packed[row], forward_summarize(w, track))
 
+    def test_later_calls_leave_returned_summaries_alone(self):
+        w = random_weights(self.BENCH, 75)
+        rng = SplitMix64(76)
+        packed = summarize_tracks(w, [random_track(rng, n, 16) for n in (1, 3, 5, 5, 9)])
+        single = forward_summarize(w, random_track(rng, 4, 16))
+        kept = packed.copy(), single.copy()
+        summarize_tracks(w, [random_track(rng, n, 16) for n in (1, 2, 5, 5, 9, _PACK_ROWS + 4)])
+        forward_summarize(w, random_track(rng, 7, 16))
+        assert np.array_equal(packed, kept[0]) and np.array_equal(single, kept[1])
+
     def test_empty_list(self):
         assert summarize_tracks(init_weights(SMALL, 0), []).shape == (0, 8)
 
@@ -159,6 +173,36 @@ class TestSummarizeTracks:
         w = init_weights(SMALL, 0)
         with pytest.raises(ValueError):
             summarize_tracks(w, [np.ones((2, 6)), np.ones((0, 6))])
+
+
+ONE_LAYER = SummarizerConfig(input_dim=5, model_dim=12, n_layers=1, n_heads=3)
+
+
+class TestForwardPathsAgree:
+    """``summarize_tracks`` (workspace, token-only top layer) against the
+    training forward, which keeps every row of every layer for the backward."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cfg=st.sampled_from([ONE_LAYER, SMALL, DEEP]),
+        lengths=st.lists(st.integers(1, 24), min_size=1, max_size=40),
+        long=st.booleans(),
+        seed=st.integers(0, 2**32),
+    )
+    @example(cfg=ONE_LAYER, lengths=[1], long=False, seed=0)
+    @example(cfg=ONE_LAYER, lengths=[1, 1], long=False, seed=1)
+    @example(cfg=DEEP, lengths=[6], long=True, seed=2)
+    @example(cfg=SMALL, lengths=[24] * 12 + [1], long=False, seed=3)
+    def test_bitwise_equal(self, cfg, lengths, long, seed):
+        # ``long`` adds a track longer than a pack; 40 tracks of up to 24 rows
+        # span several packs, and the last pack of a call may hold one track
+        rng = SplitMix64(seed)
+        tracks = [random_track(rng, n, cfg.input_dim) for n in lengths]
+        if long:
+            tracks.append(random_track(rng, _PACK_ROWS + 3, cfg.input_dim))
+        w = random_weights(cfg, seed + 1)
+        cached = _forward(w, [_as_track_matrix(w, t) for t in tracks])[0]
+        assert np.array_equal(summarize_tracks(w, tracks), cached)
 
 
 class TestGelu:
@@ -370,6 +414,18 @@ class TestSerialization:
         data = path.read_bytes()
         path.write_bytes(data[:cut] if cut else data + b"\x00")
         with pytest.raises(ValueError, match=match):
+            load_weights(path)
+
+    @pytest.mark.parametrize(
+        "name, value", [("layers.0.wq", np.nan), ("b_out", np.inf), ("layers.1.b1", -np.inf)]
+    )
+    def test_non_finite_parameter_rejected_naming_it(self, tmp_path, name, value):
+        w = init_weights(SMALL, 7)
+        *layer, field = name.split(".")
+        getattr(w.layers[int(layer[1])] if layer else w, field).flat[-1] = value
+        path = tmp_path / "weights.bin"
+        save_weights(w, path)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: parameter {name} holds a non-finite")):
             load_weights(path)
 
     def test_bad_magic_rejected(self, tmp_path):
