@@ -6,11 +6,16 @@ Formats (all frames are 1-based in files, 0-based in memory):
   ``frame,id,bb_left,bb_top,bb_width,bb_height,conf,x,y,z`` -- id is -1 for raw
   detections and the trailing three fields are ignored on input.
 * embeddings sidecar: ``frame,det_index,v1,...,vD`` with det_index the 0-based
-  position of the detection within its frame in the detection file.
+  position of the detection within its frame in the detection file.  Every
+  entry must be finite and no row may have zero norm (it has no direction to
+  match on), whichever matcher runs.
 * configs: ``key = value`` text files (``#`` comments); interruptions are
   ``kind:start:end:ids`` entries separated by ``;`` with ids ``*`` or ``|``
   -separated integers.
 * sweep grids: ``CS,CI`` pairs separated by ``;`` (e.g. ``5,5;10,5``).
+
+Box fields and confidences must be finite.  Each reader checks the values it
+reads, and a bad one fails naming its ``file:line``.
 
 Exit codes: 0 success, 1 usage error, 2 data/config error.  Every command
 writes a run manifest next to its outputs.
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -64,6 +70,11 @@ def _parse_line(path, lineno: int, line: str) -> tuple[int, int, BoundingBox, fl
         x, y, w, h, conf = (float(v) for v in parts[2:7])
     except ValueError as err:
         raise ValueError(f"{path}:{lineno}: {err}") from None
+    if not math.isfinite(x + y + w + h + conf):  # a NaN or an inf makes the sum non-finite
+        values = {"bb_left": x, "bb_top": y, "bb_width": w, "bb_height": h, "conf": conf}
+        for name, value in values.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{lineno}: {name} must be finite, got {value}")
     if frame < 1:
         raise ValueError(f"{path}:{lineno}: frame numbers are 1-based, got {frame}")
     if w <= 0 or h <= 0:
@@ -93,8 +104,13 @@ def parse_detections(path) -> list[list[tuple[BoundingBox, float]]]:
 
 
 def parse_embeddings(path, expected_dim: int) -> dict[tuple[int, int], np.ndarray]:
-    """Sidecar embeddings keyed by (0-based frame, detection index)."""
+    """Sidecar embeddings keyed by (0-based frame, detection index).
+
+    Entries must be finite and no row may have zero norm.  Both are checked
+    over all rows at once, after the rest of the file, and the first bad row
+    is named by its line."""
     out: dict[tuple[int, int], np.ndarray] = {}
+    linenos = []
     for lineno, line in _lines(path):
         parts = line.split(",")
         if len(parts) < 3:
@@ -115,6 +131,14 @@ def parse_embeddings(path, expected_dim: int) -> dict[tuple[int, int], np.ndarra
                 f"{path}:{lineno}: duplicate embedding for frame {frame}, det {det_index}"
             )
         out[key] = values
+        linenos.append(lineno)
+    rows = np.array(list(out.values())).reshape(len(out), expected_dim)
+    finite = np.isfinite(rows).all(axis=1)
+    with np.errstate(over="ignore"):  # a huge finite entry squares to inf, still nonzero
+        bad = np.flatnonzero(~finite | (np.linalg.norm(rows, axis=1) == 0.0))
+    if bad.size:
+        what = "entries must be finite" if not finite[bad[0]] else "has zero norm"
+        raise ValueError(f"{path}:{linenos[bad[0]]}: embedding {what}")
     return out
 
 

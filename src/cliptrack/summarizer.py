@@ -10,16 +10,17 @@ sorted canonically first, which makes the permutation invariance bit-exact.
 
 Tracks are evaluated in packs (``summarize_tracks``; ``forward_summarize`` is
 the one-track case): the rows of a pack's tracks are stacked for every
-row-wise layer, and attention runs once per bucket of equal-length tracks.  A
-track's summary is bit-identical whatever it is packed with.  Inference
-writes every activation into one workspace per ``summarize_tracks`` call,
-reused by all its packs, and runs the top layer past its attention on the
-token rows alone, the only rows the output layer reads.  ``gradient``
-backpropagates its whole batch in one pass over one pack: each weight gradient
-is one sum over all rows of the batch.  Its last bits differ from those of a
-backward run per track, for two reasons: the sums run in another order, and
-OpenBLAS rounds a product with a transposed operand differently at a few rows
-than inside a stacked product.
+row-wise layer, and attention runs once per bucket of equal-length tracks.
+Every stacked product is padded to a multiple of ``_ROW_QUANTUM`` rows, so a
+track's summary is bit-identical whatever it is packed with, on every OpenBLAS
+kernel.  Inference writes every activation into one workspace per
+``summarize_tracks`` call, reused by all its packs, and runs the top layer
+past its attention on the token rows alone, the only rows the output layer
+reads.  ``gradient`` backpropagates its whole batch in one pass over one pack:
+each weight gradient is one sum over all rows of the batch.  Its last bits
+differ from those of a backward run per track, for two reasons: the sums run
+in another order, and OpenBLAS rounds a product with a transposed operand
+differently at a few rows than inside a stacked product.
 
 The parameters live in one float64 vector, ``SummarizerWeights.flat``, laid
 out once by ``_layout``; every named parameter is a view into it.  Gradients,
@@ -41,8 +42,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -52,11 +54,17 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 # Rows per packed forward in ``summarize_tracks``.  Its workspace holds about
-# 12.5 KB per row at model_dim 64 (eight model_dim-wide and four ffn_dim-wide
-# buffers), plus the largest bucket's attention scores, so this bounds it near
-# 3.6 MB.  A clip of short histories still fits in one pack, and 1000-row
-# packs were no faster.
+# 12.4 KB per row at input_dim 16 and model_dim 64 (the input, eight
+# model_dim-wide and four ffn_dim-wide buffers), plus the largest bucket's
+# attention scores, so this bounds it near 3.6 MB.  A clip of short histories
+# still fits in one pack, and 1000-row packs were no faster.
 _PACK_ROWS = 256
+
+# Stacked products run on row counts padded to a multiple of this.  OpenBLAS
+# kernels such as Haswell and Nehalem round the rows past a gemm's last full
+# block differently, and a 1-row product (gemv) differs on every kernel; 2, 4
+# and 8 rows left a row's bits depending on its pack-mates on some x86 kernel.
+_ROW_QUANTUM = 16
 
 WEIGHTS_MAGIC = b"CTSUMRZ1"
 WEIGHTS_VERSION = 1
@@ -104,7 +112,10 @@ def _layout(cfg: SummarizerConfig) -> list[tuple[str, tuple[int, ...]]]:
 
 
 def _n_params(cfg: SummarizerConfig) -> int:
-    return sum(math.prod(shape) for _, shape in _layout(cfg))
+    # from the layouts of one and two layers, so that sizing a weights file
+    # whose header claims billions of layers builds no layout of that length
+    one, two = (sum(math.prod(s) for _, s in _layout(replace(cfg, n_layers=k))) for k in (1, 2))
+    return one + (cfg.n_layers - 1) * (two - one)
 
 
 class SummarizerWeights:
@@ -281,11 +292,12 @@ class _Pack:
 
     The rows of all tracks, each track led by its token row, are stacked in
     order of ascending track length, so the tracks of one length form a
-    contiguous bucket.  ``buckets`` holds (first row, track indices, rows per
-    track) of each bucket, and ``tokens[i]`` the token row of input track
-    ``i``.  Per layer, ``layers`` holds the stacked row-wise activations and
-    one (qh, kh, vh, a) tuple per bucket, each of shape (tracks, heads, rows
-    per track, ...).
+    contiguous bucket; padding rows follow.  ``buckets`` holds (first row,
+    track indices, rows per track) of each bucket, ``tokens[i]`` the token row
+    of input track ``i``, and ``x`` the input, zero at token and padding rows.
+    Per layer, ``layers`` holds the stacked row-wise activations and one (qh,
+    kh, vh, a) tuple per bucket, each of shape (tracks, heads, rows per track,
+    ...).
 
     ``_backward`` walks the whole pack once, popping each layer's cache as it
     passes it.  Its weight gradients are sums over all rows of the pack, so
@@ -293,10 +305,22 @@ class _Pack:
     """
 
     tracks: list[np.ndarray]
+    x: np.ndarray
     tokens: list[int]
     buckets: list[tuple[int, list[int], int]]
     layers: list[tuple[tuple[np.ndarray, ...], list[tuple[np.ndarray, ...]]]]
     z: np.ndarray
+
+
+def _padded(rows: int) -> int:
+    return -(-rows // _ROW_QUANTUM) * _ROW_QUANTUM
+
+
+def _take_rows(m: np.ndarray, rows, out: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of ``m`` at the head of ``out``, its padding rows zeroed."""
+    np.take(m, rows, axis=0, out=out[: len(rows)])
+    out[len(rows) :] = 0.0
+    return out
 
 
 def _forward(weights: SummarizerWeights, tracks: list[np.ndarray], ws: _Workspace | None = None):
@@ -305,21 +329,20 @@ def _forward(weights: SummarizerWeights, tracks: list[np.ndarray], ws: _Workspac
 
     Every row-wise layer runs once over the stacked rows and attention once per
     bucket of equal-length tracks.  A track's summary does not depend on its
-    pack-mates: products only ever stack whole rows, and a 1-row product (a
-    length-1 track's input projection, the output projection) stays a vector
-    product, since a stacked gemm row can differ from gemv in the last bit.
+    pack-mates: products only ever stack whole rows, padded to a multiple of
+    ``_ROW_QUANTUM`` rows.  The padding rows stay finite and are never read.
+    One product projects the input ``x``, laid out like the activations with
+    zero token rows, and the token rows are written over its output.
 
     Without a workspace every activation is a new array, kept for the
     backward.  With one, every activation is written into its buffers, and the
     top layer stops at the token rows: after its attention, which needs every
-    row's keys and values, only the token rows go on to ``w_out``.  A lone
-    token row is stacked twice there, so that its products stay stacked gemms.
+    row's keys and values, only the (padded) token rows go on to ``w_out``.
     The summaries are the same bit for bit either way.
     """
     cfg = weights.config
     cm, n_heads, dh = cfg.model_dim, cfg.n_heads, cfg.head_dim
-    keep_cache = ws is None
-    buf = _fresh if keep_cache else ws
+    buf = _fresh if ws is None else ws
     order = sorted(range(len(tracks)), key=lambda i: len(tracks[i]))
     tokens = [0] * len(tracks)
     buckets = []
@@ -331,23 +354,15 @@ def _forward(weights: SummarizerWeights, tracks: list[np.ndarray], ws: _Workspac
         buckets.append((row, group, length))
         row += len(group) * length
 
-    z = buf("z", row, cm)
-    for r0, group, length in buckets:
-        zb = z[r0 : r0 + len(group) * length].reshape(len(group), length, cm)
-        zb[:, 0] = weights.token
-        if length == 2:  # length-1 tracks: keep each input projection a vector product
-            for j, i in enumerate(group):
-                zb[j, 1] = tracks[i] @ weights.w_in + weights.b_in
-        else:
-            x = np.concatenate(
-                [tracks[i] for i in group], out=buf("x", len(group) * (length - 1), cfg.input_dim)
-            )
-            x = _affine(x, weights.w_in, weights.b_in, buf("proj", len(x), cm))
-            zb[:, 1:] = x.reshape(len(group), length - 1, cm)
+    x = buf("x", _padded(row), cfg.input_dim)
+    x[:] = 0.0
+    for r, track in zip(tokens, tracks):
+        x[r + 1 : r + 1 + len(track)] = track
+    z = _affine(x, weights.w_in, weights.b_in, buf("z", len(x), cm))
+    z[tokens] = weights.token
 
     scale = 1.0 / math.sqrt(dh)
     layers = []
-    out_rows = tokens
     for depth, layer in enumerate(weights.layers, 1):
         n = len(z)
         y1, xhat1, inv1 = _layer_norm(z, layer.ln1_g, layer.ln1_b, buf)
@@ -357,6 +372,7 @@ def _forward(weights: SummarizerWeights, tracks: list[np.ndarray], ws: _Workspac
                                ("v", layer.wv, layer.bv))
         )
         mh = buf("mh", n, cm)
+        mh[row:] = 0.0  # padding rows: garbage from np.empty could be inf or NaN
         heads = []
         for r0, group, length in buckets:
             g, r1 = len(group), r0 + len(group) * length
@@ -371,24 +387,24 @@ def _forward(weights: SummarizerWeights, tracks: list[np.ndarray], ws: _Workspac
             np.exp(a, out=a)
             a /= np.sum(a, axis=-1, keepdims=True, out=m)
             np.matmul(a, vh, out=mh[r0:r1].reshape(g, length, n_heads, dh).transpose(0, 2, 1, 3))
-            if keep_cache:
+            if ws is None:
                 heads.append((qh, kh, vh, a))
-        if not keep_cache and depth == cfg.n_layers:
-            # only the token rows reach w_out; a lone one is doubled (see above)
-            rows = tokens * 2 if len(tokens) == 1 else tokens
-            z, mh = z[rows], mh[rows]
-            out_rows = range(len(tokens))
-        z += np.matmul(mh, layer.wo, out=buf("proj", len(z), cm))
+        if ws is not None and depth == cfg.n_layers:  # only the token rows reach w_out
+            n = _padded(len(tokens))
+            z = _take_rows(z, tokens, buf("top", n, cm))
+            mh = _take_rows(mh, tokens, buf("mhtop", n, cm))
+        z += np.matmul(mh, layer.wo, out=buf("proj", n, cm))
         z += layer.bo
         y2, xhat2, inv2 = _layer_norm(z, layer.ln2_g, layer.ln2_b, buf)
-        u = _affine(y2, layer.w1, layer.b1, buf("u", len(z), cfg.ffn_dim))
+        u = _affine(y2, layer.w1, layer.b1, buf("u", n, cfg.ffn_dim))
         gact, t = _gelu(u, buf)
-        z += np.matmul(gact, layer.w2, out=buf("proj", len(z), cm))
+        z += np.matmul(gact, layer.w2, out=buf("proj", n, cm))
         z += layer.b2
-        if keep_cache:
+        if ws is None:
             layers.append(((y1, xhat1, inv1, mh, y2, xhat2, inv2, u, gact, t), heads))
-    outs = np.stack([z[r] @ weights.w_out + weights.b_out for r in out_rows])
-    return outs, _Pack(tracks, tokens, buckets, layers, z) if keep_cache else None
+    top = z if ws is not None else _take_rows(z, tokens, buf("top", _padded(len(tokens)), cm))
+    outs = _affine(top, weights.w_out, weights.b_out, buf("out", len(top), cm))[: len(tracks)]
+    return outs, _Pack(tracks, x, tokens, buckets, layers, z) if ws is None else None
 
 
 def _backward(weights: SummarizerWeights, pack: _Pack, dout: np.ndarray, grads: SummarizerWeights):
@@ -430,7 +446,7 @@ def _backward(weights: SummarizerWeights, pack: _Pack, dout: np.ndarray, grads: 
         layer_grads.wo += mh.T @ do
         layer_grads.bo += do.sum(axis=0)
         dmh = do @ layer.wo.T
-        dq, dk, dv = (np.empty_like(dmh) for _ in range(3))
+        dq, dk, dv = (np.zeros_like(dmh) for _ in range(3))
         for (r0, group, length), (qh, kh, vh, a) in zip(pack.buckets, heads):
             r1 = r0 + len(group) * length
             doh = dmh[r0:r1].reshape(len(group), length, n_heads, dh).transpose(0, 2, 1, 3)
@@ -452,12 +468,9 @@ def _backward(weights: SummarizerWeights, pack: _Pack, dout: np.ndarray, grads: 
         dz = dz_mid + dz_ln1
 
     grads.token += dz[pack.tokens].sum(axis=0)
-    inputs = np.ones(len(dz), dtype=bool)
-    inputs[pack.tokens] = False
-    dx = dz[inputs]
-    x = np.concatenate([pack.tracks[i] for _, group, _ in pack.buckets for i in group])
-    grads.w_in += x.T @ dx
-    grads.b_in += dx.sum(axis=0)
+    dz[pack.tokens] = 0.0  # padding rows are zero already
+    grads.w_in += pack.x.T @ dz
+    grads.b_in += dz.sum(axis=0)
 
 
 def _as_track_matrix(weights: SummarizerWeights, track) -> np.ndarray:
@@ -517,8 +530,6 @@ def contrastive_loss(anchor: np.ndarray, positives, negatives) -> float:
     negatives = list(negatives)
     if not positives:
         raise ValueError("contrastive loss requires at least one positive")
-    if not negatives:
-        return 0.0
     a = np.asarray(anchor, dtype=np.float64)
     pos = np.array([a @ np.asarray(p, dtype=np.float64) for p in positives])
     neg = np.array([a @ np.asarray(n, dtype=np.float64) for n in negatives])
@@ -527,15 +538,17 @@ def contrastive_loss(anchor: np.ndarray, positives, negatives) -> float:
 
 def _anchor_loss(pos: np.ndarray, neg: np.ndarray) -> tuple[float, np.ndarray]:
     """log(1 + sum_ij exp(neg_j - pos_i)), overflow-safe, and its pair weights
-    exp(neg_j - pos_i) / (1 + sum), the loss's derivative per dot difference."""
+    exp(neg_j - pos_i) / (1 + sum), the loss's derivative per dot difference.
+    Without negatives the loss is 0 and the weights are empty."""
     x = neg[None, :] - pos[:, None]
-    m = max(0.0, float(x.max()))
+    m = float(x.max(initial=0.0))
     loss = m + math.log(math.exp(-m) + np.exp(x - m).sum())
     return loss, np.exp(x - loss)
 
 
 def _anchor_structure(samples) -> list[tuple[int, list[int], list[int]]]:
-    """(anchor, positives, negatives) index triples; anchors need >= 1 positive."""
+    """(anchor, positives, negatives) index triples; anchors need >= 1 positive,
+    and a batch needs one anchor."""
     keys = [(s.video, s.identity) for s in samples]
     # Tracks whose well-localized elements are in the minority no longer carry
     # a dominant identity; they act as pure negatives (the corruption they
@@ -550,25 +563,19 @@ def _anchor_structure(samples) -> list[tuple[int, list[int], list[int]]]:
             continue
         neg = [j for j, k in enumerate(keys) if k != key or junk[j]]
         anchors.append((i, pos, neg))
+    if not anchors:
+        raise ValueError("no sample in the batch has a same-identity positive")
     return anchors
 
 
-def _loss_terms(z: list[np.ndarray], anchors, inv_temperature: float = 1.0):
-    """Per-anchor losses and pair weights; the weights already include the
-    inverse-temperature factor, so backprop uses them as d(loss)/d(dot difference)."""
-    losses = []
-    weights = []
-    for i, pos, neg in anchors:
-        if not neg:
-            losses.append(0.0)
-            weights.append(None)
-            continue
-        p = np.array([z[i] @ z[j] for j in pos]) * inv_temperature
-        n = np.array([z[i] @ z[j] for j in neg]) * inv_temperature
-        loss, pair_w = _anchor_loss(p, n)
-        losses.append(loss)
-        weights.append(pair_w * inv_temperature)
-    return losses, weights
+def _loss_terms(z, anchors, inv_temperature: float = 1.0):
+    """Per-anchor losses and pair weights, from one product ``z @ z.T`` of the
+    summaries (rows of ``z``); the weights already include the inverse-temperature
+    factor, so backprop uses them as d(loss)/d(dot difference)."""
+    z = np.asarray(z)
+    dots = (z @ z.T) * inv_temperature
+    terms = [_anchor_loss(dots[i, pos], dots[i, neg]) for i, pos, neg in anchors]
+    return [loss for loss, _ in terms], [w * inv_temperature for _, w in terms]
 
 
 def batch_loss(
@@ -585,8 +592,6 @@ def batch_loss(
     makes the objective trainable.
     """
     anchors = _anchor_structure(samples)
-    if not anchors:
-        raise ValueError("no sample in the batch has a same-identity positive")
     z = [l2_normalize(u) for u in summarize_tracks(weights, [s.track for s in samples])]
     losses, _ = _loss_terms(z, anchors, 1.0 / loss_temperature)
     return float(np.mean(losses))
@@ -599,9 +604,6 @@ def gradient(
 ) -> tuple[SummarizerWeights, float]:
     """Exact analytic gradient of the mean anchor loss; returns (grads, loss)."""
     anchors = _anchor_structure(samples)
-    if not anchors:
-        raise ValueError("no sample in the batch has a same-identity positive")
-
     outs, pack = _forward(weights, [_as_track_matrix(weights, s.track) for s in samples])
     norms = np.array([float(np.linalg.norm(u)) for u in outs])
     z = outs / norms[:, None]
@@ -609,21 +611,12 @@ def gradient(
     losses, pair_w = _loss_terms(z, anchors, 1.0 / loss_temperature)
     loss = float(np.mean(losses))
 
-    dz = np.zeros_like(z)
-    inv_a = 1.0 / len(anchors)
+    # g[i, j]: d(loss of anchor i) / d(z_i . z_j)
+    g = np.zeros((len(z), len(z)))
     for (i, pos, neg), w in zip(anchors, pair_w):
-        if w is None:
-            continue
-        w_per_neg = w.sum(axis=0)  # over positives
-        w_per_pos = w.sum(axis=1)  # over negatives
-        acc = np.zeros_like(z[i])
-        for jn, wn in zip(neg, w_per_neg):
-            acc += wn * z[jn]
-            dz[jn] += inv_a * wn * z[i]
-        for jp, wp in zip(pos, w_per_pos):
-            acc -= wp * z[jp]
-            dz[jp] -= inv_a * wp * z[i]
-        dz[i] += inv_a * acc
+        g[i, neg] = w.sum(axis=0)
+        g[i, pos] = -w.sum(axis=1)
+    dz = (g + g.T) @ z / len(anchors)
 
     grads = weights.zeros_like()
     # rows of samples outside every anchor's loss stay zero
@@ -652,17 +645,22 @@ def load_weights(path) -> SummarizerWeights:
     with open(path, "rb") as fh:
         magic = fh.read(len(WEIGHTS_MAGIC))
         if magic != WEIGHTS_MAGIC:
-            raise ValueError(f"not a summarizer weights file: bad magic {magic!r}")
-        version, c_in, cm, n_layers, n_heads, ffn = struct.unpack("<6I", fh.read(24))
+            raise ValueError(f"{path}: not a summarizer weights file: bad magic {magic!r}")
+        header = fh.read(24)
+        if len(header) != 24:
+            raise ValueError(f"{path}: truncated weights file header")
+        version, c_in, cm, n_layers, n_heads, ffn = struct.unpack("<6I", header)
         if version != WEIGHTS_VERSION:
-            raise ValueError(f"unsupported weights version {version}")
-        cfg = SummarizerConfig(c_in, cm, n_layers, n_heads, ffn)
-        size = 8 * _n_params(cfg)
+            raise ValueError(f"{path}: unsupported weights version {version}")
+        try:
+            cfg = SummarizerConfig(c_in, cm, n_layers, n_heads, ffn)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
+        size, left = 8 * _n_params(cfg), os.fstat(fh.fileno()).st_size - fh.tell()
+        if left != size:
+            what = "truncated weights file" if left < size else "trailing bytes in weights file"
+            raise ValueError(f"{path}: {what}: {left} parameter bytes, the header implies {size}")
         buf = fh.read(size)
-        if len(buf) != size:
-            raise ValueError("truncated weights file")
-        if fh.read(1):
-            raise ValueError("trailing bytes in weights file")
     flat = np.frombuffer(buf, dtype="<f8").astype(np.float64)
     bad = np.flatnonzero(~np.isfinite(flat))
     if bad.size:

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -413,6 +414,70 @@ class TestExitCodes:
         assert code == 2
         assert f"{tmp_path / 'w.bin'}: parameter layers.2.w1" in capsys.readouterr().err
         assert not (tmp_path / "pred.txt").exists()
+
+    @pytest.mark.parametrize(
+        "header",
+        [b"\x01\x00\x00\x00" * 3, struct.pack("<6I", 1, 8, 65536, 3, 8, 0) + b"\x00" * 56],
+        ids=["short_header", "header_larger_than_file"],
+    )
+    def test_weights_header_is_data_error(self, tmp_path, capsys, header):
+        scen_cfg = tmp_path / "scenario.cfg"
+        write_scenario_cfg(scen_cfg)
+        out_dir = tmp_path / "sim"
+        main(["simulate", "--config", str(scen_cfg), "--out-dir", str(out_dir)])
+        (tmp_path / "w.bin").write_bytes(b"CTSUMRZ1" + header)
+        pipe_cfg = tmp_path / "pipeline.cfg"
+        write_pipeline_cfg(pipe_cfg, inter="clip_tracker", weights_path=tmp_path / "w.bin")
+        code = main(
+            ["track", "--dets", str(out_dir / "dets.txt"), "--embs", str(out_dir / "embs.txt"),
+             "--config", str(pipe_cfg), "--out", str(tmp_path / "pred.txt")]
+        )
+        assert code == 2
+        assert f"{tmp_path / 'w.bin'}: truncated weights file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, column, value, inter",
+        [
+            ("dets.txt", 2, "nan", "iou_chain"),  # bb_left
+            ("dets.txt", 3, "inf", "iou_chain"),  # bb_top
+            ("dets.txt", 4, "nan", "temporal_average"),  # bb_width
+            ("dets.txt", 5, "-inf", "iou_chain"),  # bb_height
+            ("dets.txt", 6, "nan", "iou_chain"),  # conf
+            ("embs.txt", 2, "nan", "temporal_average"),
+            ("embs.txt", 9, "-inf", "iou_chain"),
+            ("embs.txt", None, "0", "iou_chain"),  # an all-zero embedding row
+            ("embs.txt", None, "0", "temporal_average"),
+            ("embs.txt", None, "0", "clip_tracker"),
+            ("gt.txt", 3, "inf", None),  # eval reads the track files
+        ],
+    )
+    def test_bad_value_is_data_error_naming_line(self, tmp_path, capsys, name, column, value, inter):
+        scen_cfg = tmp_path / "scenario.cfg"
+        write_scenario_cfg(scen_cfg)
+        out_dir = tmp_path / "sim"
+        main(["simulate", "--config", str(scen_cfg), "--out-dir", str(out_dir)])
+        bad = out_dir / name
+        lines = bad.read_text().splitlines(keepends=True)
+        fields = lines[2].rstrip("\n").split(",")
+        for k in [column] if column is not None else range(2, len(fields)):
+            fields[k] = value
+        lines[2] = ",".join(fields) + "\n"
+        bad.write_text("".join(lines))
+        if inter is None:
+            code = main(["eval", "--gt", str(bad), "--pred", str(tmp_path / "sim" / "dets.txt"),
+                         "--report", str(tmp_path / "report.json")])
+        else:
+            save_weights(init_weights(SummarizerConfig(input_dim=8, model_dim=8, n_heads=2), 0),
+                         tmp_path / "w.bin")
+            pipe_cfg = tmp_path / "pipeline.cfg"
+            write_pipeline_cfg(pipe_cfg, inter=inter, weights_path=tmp_path / "w.bin")
+            code = main(
+                ["track", "--dets", str(out_dir / "dets.txt"), "--embs", str(out_dir / "embs.txt"),
+                 "--config", str(pipe_cfg), "--out", str(tmp_path / "pred.txt")]
+            )
+            assert not (tmp_path / "pred.txt").exists()
+        assert code == 2
+        assert f"{bad}:3:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "which, line, key",

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -12,10 +13,13 @@ from cliptrack.summarizer import (
     _GELU_A,
     _GELU_C,
     _PACK_ROWS,
+    WEIGHTS_MAGIC,
     SummarizerConfig,
     _as_track_matrix,
     _forward,
     _gelu,
+    _layout,
+    _n_params,
     batch_loss,
     contrastive_loss,
     forward_summarize,
@@ -417,6 +421,23 @@ class TestSerialization:
             load_weights(path)
 
     @pytest.mark.parametrize(
+        "header, match",
+        [
+            (b"\x01\x00\x00\x00" * 5, "truncated weights file header"),
+            # 88 bytes in all, for a header that implies 1.27 TB of parameters
+            (struct.pack("<6I", 1, 8, 65536, 3, 8, 0) + b"\x00" * 56, "truncated weights file"),
+            (struct.pack("<6I", 1, 8, 8, 10**5, 2, 0), "truncated weights file"),
+            (struct.pack("<6I", 1, 8, 0, 1, 1, 0), "model_dim must be >= 1"),
+        ],
+        ids=["short_header", "huge_model_dim", "many_layers", "zero_model_dim"],
+    )
+    def test_bad_header_rejected_naming_file(self, tmp_path, header, match):
+        path = tmp_path / "weights.bin"
+        path.write_bytes(WEIGHTS_MAGIC + header)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {match}")):
+            load_weights(path)
+
+    @pytest.mark.parametrize(
         "name, value", [("layers.0.wq", np.nan), ("b_out", np.inf), ("layers.1.b1", -np.inf)]
     )
     def test_non_finite_parameter_rejected_naming_it(self, tmp_path, name, value):
@@ -427,6 +448,10 @@ class TestSerialization:
         save_weights(w, path)
         with pytest.raises(ValueError, match=re.escape(f"{path}: parameter {name} holds a non-finite")):
             load_weights(path)
+
+    @pytest.mark.parametrize("cfg", [SMALL, DEEP, ONE_LAYER, SummarizerConfig(3, 4, 5, 4, 7)])
+    def test_parameter_count_matches_layout(self, cfg):
+        assert _n_params(cfg) == sum(math.prod(shape) for _, shape in _layout(cfg))
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -216,10 +216,10 @@ class TestTrain:
         train_cfg = dataclasses.replace(train_cfg, epochs=2, steps_per_epoch=1)
         weights, history = train(source, model_cfg, train_cfg)
         assert hashlib.sha256(weights.flatten().tobytes()).hexdigest() == (
-            "451bf59fc233c554956c3b2ca70fd14bf6d4fa504ec796be69ad9dfb8ca4e630"
+            "06fee385d4bb8049e52dbb6fe24c0ec32a116bf0af3d2221f1e9e2e176766518"
         )
         assert hashlib.sha256(np.array(history).tobytes()).hexdigest() == (
-            "0beec85de802b6cbdf1e82f700570f66687a1044594395ff7fb9888edc1c4612"
+            "6430f864fd37abe84a8fb5106134adb63b18d71da062d4bbe46613aeba187394"
         )
 
     def test_loss_decreases(self):
